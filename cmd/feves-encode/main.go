@@ -72,35 +72,9 @@ func main() {
 	flag.Parse()
 
 	if *verify != "" {
-		stream, err := os.ReadFile(*verify)
-		if err != nil {
+		if err := verifyStream(*verify, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-		si, err := codec.Inspect(stream)
-		if err != nil {
-			log.Fatalf("%s: corrupt after %d frames: %v", *verify, len(si.Frames), err)
-		}
-		cfg := si.Config
-		fmt.Printf("%s: OK, %d frames, %dx%d, SA %dx%d, %d RF, QP {%d,%d}, entropy %s\n",
-			*verify, len(si.Frames), cfg.Width, cfg.Height,
-			2*cfg.SearchRange, 2*cfg.SearchRange, cfg.NumRF, cfg.IQP, cfg.PQP, cfg.Entropy)
-		var iFrames int
-		for _, fr := range si.Frames {
-			if fr.Intra {
-				iFrames++
-			}
-		}
-		fmt.Printf("coded: %d bits total (%.1f kbit/frame), %d intra / %d inter\n",
-			si.TotalBits(), float64(si.TotalBits())/float64(len(si.Frames))/1000,
-			iFrames, len(si.Frames)-iFrames)
-		hist := si.ModeHistogram()
-		fmt.Printf("inter partition modes:")
-		for m, c := range hist {
-			if c > 0 {
-				fmt.Printf(" %v:%d", h264.PartMode(m), c)
-			}
-		}
-		fmt.Println()
 		return
 	}
 
@@ -269,4 +243,43 @@ func lookupPlatform(name string) (*feves.Platform, error) {
 		return feves.GPUTesla(), nil
 	}
 	return nil, fmt.Errorf("unknown platform %q", name)
+}
+
+// verifyStream decodes the bitstream file at path end to end and writes
+// its summary to out. A stream that does not decode is an error naming how
+// far decoding got: the sequence header, or the count of good frames.
+func verifyStream(path string, out io.Writer) error {
+	stream, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	si, err := codec.Inspect(stream)
+	if si == nil {
+		return fmt.Errorf("%s: corrupt header: %v", path, err)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: corrupt after %d frames: %v", path, len(si.Frames), err)
+	}
+	cfg := si.Config
+	fmt.Fprintf(out, "%s: OK, %d frames, %dx%d, SA %dx%d, %d RF, QP {%d,%d}, entropy %s\n",
+		path, len(si.Frames), cfg.Width, cfg.Height,
+		2*cfg.SearchRange, 2*cfg.SearchRange, cfg.NumRF, cfg.IQP, cfg.PQP, cfg.Entropy)
+	var iFrames int
+	for _, fr := range si.Frames {
+		if fr.Intra {
+			iFrames++
+		}
+	}
+	fmt.Fprintf(out, "coded: %d bits total (%.1f kbit/frame), %d intra / %d inter\n",
+		si.TotalBits(), float64(si.TotalBits())/float64(len(si.Frames))/1000,
+		iFrames, len(si.Frames)-iFrames)
+	hist := si.ModeHistogram()
+	fmt.Fprintf(out, "inter partition modes:")
+	for m, c := range hist {
+		if c > 0 {
+			fmt.Fprintf(out, " %v:%d", h264.PartMode(m), c)
+		}
+	}
+	fmt.Fprintln(out)
+	return nil
 }

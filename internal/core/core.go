@@ -336,45 +336,89 @@ func (f *Framework) workload(interIdx int) device.Workload {
 	}
 }
 
+// isIntra reports whether display index i opens a GOP: the first frame of
+// the sequence or an IDR refresh point.
+func (f *Framework) isIntra(i int) bool {
+	return i == 0 || (f.opts.Codec.IntraPeriod > 0 && i%f.opts.Codec.IntraPeriod == 0)
+}
+
 // EncodeNext processes the next frame of the sequence. In Functional mode
 // cf must be the frame to encode; in TimingOnly mode cf is ignored (may be
 // nil). The first frame is intra coded outside the balanced inter-loop;
 // every subsequent frame runs Algorithm 1's iterative phase.
 func (f *Framework) EncodeNext(cf *h264.Frame) (Result, error) {
 	idx := f.frame
-	tel := f.opts.Telemetry
-	intra := idx == 0 ||
-		(f.opts.Codec.IntraPeriod > 0 && idx%f.opts.Codec.IntraPeriod == 0)
-	tel.FrameStart(idx, intra)
-	if intra {
-		res := Result{FrameIndex: idx, Intra: true}
-		if f.opts.Mode == vcm.Functional {
-			stats, err := f.enc.EncodeIntraFrame(cf)
-			if err != nil {
-				return Result{}, err
-			}
-			res.Stats = stats
-		}
-		f.lastIntra = idx
-		f.frame++
-		if idx > 0 {
-			tel.Mark("idr", idx)
-		}
-		tel.FrameEnd(telemetry.FrameRecord{Frame: idx, Intra: true,
-			Bits: res.Stats.Bits, PSNRY: res.Stats.PSNRY})
-		return res, nil
+	if !f.isIntra(idx) {
+		rs, _, err := f.encodeWindow(cf)
+		return rs[0], err
 	}
+	tel := f.opts.Telemetry
+	tel.FrameStart(idx, true)
+	res := Result{FrameIndex: idx, Intra: true}
+	if f.opts.Mode == vcm.Functional {
+		stats, err := f.enc.EncodeIntraFrame(cf)
+		if err != nil {
+			return Result{}, err
+		}
+		res.Stats = stats
+	}
+	f.lastIntra = idx
+	f.frame++
+	if idx > 0 {
+		tel.Mark("idr", idx)
+	}
+	tel.FrameEnd(telemetry.FrameRecord{Frame: idx, Intra: true,
+		Bits: res.Stats.Bits, PSNRY: res.Stats.PSNRY})
+	return res, nil
+}
 
-	w := f.workload(idx)
-	chain := f.chainOf(idx)
+// EncodePair processes the next two frames of the sequence jointly when
+// frame-parallel execution applies, falling back to a serial EncodeNext of
+// cfA otherwise. The returned paired flag reports which happened: when
+// false, only cfA was consumed (rb is zero) and the caller re-offers cfB
+// as the next frame. A scene cut inside frame A also returns paired=false
+// — frame A completed (as an IDR), frame B was aborted before any
+// functional work and must be re-offered.
+func (f *Framework) EncodePair(cfA, cfB *h264.Frame) (ra, rb Result, paired bool, err error) {
+	if (cfB == nil && f.opts.Mode == vcm.Functional) || !f.pairable() {
+		ra, err = f.EncodeNext(cfA)
+		return ra, Result{}, false, err
+	}
+	rs, done, err := f.encodeWindow(cfA, cfB)
+	return rs[0], rs[1], done == 2, err
+}
+
+// pairable reports whether the next two frames can run frame-parallel:
+// both inter, the model characterized (the equidistant initialization
+// frames run serially), and the two-chain codec configured.
+func (f *Framework) pairable() bool {
+	return f.opts.FrameParallel && f.chains() >= 2 && f.pm.Ready() &&
+		!f.isIntra(f.frame) && !f.isIntra(f.frame+1)
+}
+
+// encodeWindow runs Algorithm 1's iterative phase on the next len(cfs)
+// inter frames as one jointly scheduled window — one frame for the serial
+// loop, two (on distinct reference chains) for the frame-parallel one —
+// and returns the results of the frames that completed. Fewer than
+// offered complete only when a frame scene-cut to an IDR inside R* with
+// another behind it: that later frame never touched the encoder and the
+// caller re-offers it.
+func (f *Framework) encodeWindow(cfs ...*h264.Frame) (rs [2]Result, done int, err error) {
+	n := len(cfs)
+	base := f.frame
+	tel := f.opts.Telemetry
+	var ins [2]vcm.FrameInput
+	for k := 0; k < n; k++ {
+		tel.FrameStart(base+k, false)
+		ins[k] = vcm.FrameInput{Frame: base + k, Chain: f.chainOf(base + k), W: f.workload(base + k), CF: cfs[k]}
+	}
 	// Load Balancing (lines 3 and 8): equidistant until the model is
 	// characterized, LP afterwards; with failover armed the topology
 	// carries the health tracker's exclusion mask and a blown deadline
 	// re-enters the loop on the reduced topology. The decision cost
 	// (accumulated over retries) is the framework's scheduling overhead.
 	var (
-		d        sched.Distribution
-		ft       vcm.FrameTiming
+		fts      []vcm.FrameTiming
 		overhead time.Duration
 		okTry    int // attempt index that finally succeeded
 	)
@@ -385,26 +429,38 @@ func (f *Framework) EncodeNext(cf *h264.Frame) (Result, error) {
 			f.mgr.Down = f.topo.Down
 		}
 		start := time.Now()
-		var err error
-		if !f.pm.Ready() {
-			d = sched.EquidistantExcluding(f.topo.NumDevices(), w.Rows(), firstUp(f.topo), f.topo.Down)
-		} else {
-			f.selectChain(chain)
-			d, err = f.bal.Distribute(f.pm, f.topo, w, f.prev[chain])
-			if err != nil {
-				return Result{}, err
+		// One balancing decision per frame, each against its own chain's
+		// warm-start slots and σʳ carry. The balancer's output buffers are
+		// double-buffered, so both distributions of a window of two stay
+		// valid through the joint execution.
+		for k := 0; k < n; k++ {
+			in := &ins[k]
+			in.PrevSigmaR = f.prev[in.Chain]
+			if !f.pm.Ready() {
+				// Initialization phase; pairable() keeps it to windows of one.
+				in.D = sched.EquidistantExcluding(f.topo.NumDevices(), in.W.Rows(), firstUp(f.topo), f.topo.Down)
+				continue
+			}
+			f.selectChain(in.Chain)
+			if in.D, err = f.bal.Distribute(f.pm, f.topo, in.W, in.PrevSigmaR); err != nil {
+				return rs, 0, err
 			}
 		}
-		f.mgr.Deadline = f.deadline(d)
+		if n == 1 {
+			ins[0].Deadline = f.deadline(ins[0].D, nil)
+		} else {
+			ins[0].Deadline = f.deadline(ins[0].D, &ins[1].D)
+			ins[1].Deadline = f.deadline(ins[1].D, &ins[0].D)
+		}
 		overhead += time.Since(start)
 
 		// Bracket the Video Coding Manager's EWMA feedback with model
-		// snapshots so the audit can report the drift this frame caused.
+		// snapshots so the audit can report the drift this window caused.
 		if tel.Enabled() {
 			f.pm.SnapshotInto(&f.snapBefore)
 		}
-		ft, err = f.mgr.EncodeInterFrame(idx, w, d, f.pm, f.prev[chain], cf)
-		if err == nil {
+		fts, err = f.mgr.EncodeFrames(f.pm, ins[:n]...)
+		if err == nil || errors.Is(err, vcm.ErrPairSceneCut) {
 			okTry = attempt
 			break
 		}
@@ -413,54 +469,55 @@ func (f *Framework) EncodeNext(cf *h264.Frame) (Result, error) {
 			if errors.As(err, &de) {
 				// The deadline error is escaping to the caller — snapshot
 				// the flight window while the evidence is still in the ring.
-				tel.CaptureBundle("deadline_error", idx, de.Error())
+				tel.CaptureBundle("deadline_error", de.Frame, de.Error())
 			}
-			return Result{}, err
+			return rs, 0, err
 		}
-		// The functional encoder state is untouched (the deadline trips
-		// before the kernels run), so the frame replays bit-exactly once
+		// No functional kernel ran (the deadline trips on the simulated
+		// timeline first), so the whole window replays bit-exactly once
 		// the sick device is out of the schedule.
 		f.retries.Add(1)
-		tel.FrameRetry(idx, attempt+1, de.Point, de.Blamed)
+		tel.FrameRetry(de.Frame, attempt+1, de.Point, de.Blamed)
 		for _, dev := range de.Blamed {
-			f.reportMiss(idx, dev, de.Point)
+			f.reportMiss(de.Frame, dev, de.Point)
 		}
 	}
 	if f.health != nil {
-		// Devices that met their budgets this frame work toward the
+		// Devices that met their budgets this window work toward the
 		// degraded → healthy recovery streak.
 		for i := 0; i < f.topo.NumDevices(); i++ {
 			if !f.topo.IsDown(i) {
 				if from, to, changed := f.health.Clean(i); changed {
-					tel.HealthTransition(idx, i, from.String(), to.String(), "recovered")
+					tel.HealthTransition(base, i, from.String(), to.String(), "recovered")
 				}
 			}
 		}
 	}
-	// d.SigmaR aliases balancer-owned double-buffered storage; copy it into
-	// the framework's own carry buffer so next frame's read is safe.
-	f.prev[chain] = append(f.prev[chain][:0], d.SigmaR...)
-	f.frame++
-	ft.Chain = chain
-	if ft.Stats.Intra && f.chains() > 1 {
-		// The encoder's scene-cut detector coded an IDR mid-pipeline,
-		// flushing and reseeding every chain: mirror its counter reset so
-		// the chain assignment and per-chain ramps stay in lockstep.
-		f.lastIntra = idx
-		f.resetSigmaCarry()
+	done = len(fts)
+	f.frame = base + done
+	for k, ft := range fts {
+		d, chain := ins[k].D, ins[k].Chain
+		// SigmaR aliases balancer-owned double-buffered storage; copy it
+		// into the framework's own carry buffer so the chain's next frame
+		// reads it safely.
+		f.prev[chain] = append(f.prev[chain][:0], d.SigmaR...)
+		if ft.Stats.Intra && f.chains() > 1 {
+			// The encoder's scene-cut detector coded an IDR mid-pipeline,
+			// flushing and reseeding every chain: mirror its counter reset so
+			// the chain assignment and per-chain ramps stay in lockstep.
+			f.lastIntra = ft.Frame
+			f.resetSigmaCarry()
+		}
+		rs[k] = Result{FrameIndex: ft.Frame, Attempt: okTry, Timing: ft,
+			Distribution: d, Stats: ft.Stats}
 	}
-	res := Result{
-		FrameIndex:    idx,
-		Attempt:       okTry,
-		Timing:        ft,
-		Distribution:  d,
-		SchedOverhead: overhead,
-		Stats:         ft.Stats,
-	}
+	rs[0].SchedOverhead = overhead
 	if tel.Enabled() {
-		f.emitFrameTelemetry(tel, res)
+		for k := 0; k < done; k++ {
+			f.emitFrameTelemetry(tel, rs[k])
+		}
 	}
-	return res, nil
+	return rs, done, nil
 }
 
 // selectChain points an LP balancer at one chain's warm-start and
@@ -481,177 +538,27 @@ func (f *Framework) resetSigmaCarry() {
 	}
 }
 
-// pairable reports whether the next two frames can run frame-parallel:
-// both inter, the model characterized (the equidistant initialization
-// frames run serially), and the two-chain codec configured.
-func (f *Framework) pairable() bool {
-	if !f.opts.FrameParallel || f.chains() < 2 || !f.pm.Ready() {
-		return false
-	}
-	isIntra := func(i int) bool {
-		return i == 0 || (f.opts.Codec.IntraPeriod > 0 && i%f.opts.Codec.IntraPeriod == 0)
-	}
-	return !isIntra(f.frame) && !isIntra(f.frame+1)
-}
-
-// EncodePair processes the next two frames of the sequence jointly when
-// frame-parallel execution applies, falling back to a serial EncodeNext of
-// cfA otherwise. The returned paired flag reports which happened: when
-// false, only cfA was consumed (rb is zero) and the caller re-offers cfB
-// as the next frame. A scene cut inside frame A also returns paired=false
-// — frame A completed (as an IDR), frame B was aborted before any
-// functional work and must be re-offered.
-func (f *Framework) EncodePair(cfA, cfB *h264.Frame) (ra, rb Result, paired bool, err error) {
-	if cfB == nil && f.opts.Mode == vcm.Functional {
-		ra, err = f.EncodeNext(cfA)
-		return ra, Result{}, false, err
-	}
-	if !f.pairable() {
-		ra, err = f.EncodeNext(cfA)
-		return ra, Result{}, false, err
-	}
-	idxA, idxB := f.frame, f.frame+1
-	tel := f.opts.Telemetry
-	tel.FrameStart(idxA, false)
-	tel.FrameStart(idxB, false)
-	chainA, chainB := f.chainOf(idxA), f.chainOf(idxB)
-	wA, wB := f.workload(idxA), f.workload(idxB)
-
-	var (
-		dA, dB   sched.Distribution
-		ftA, ftB vcm.FrameTiming
-		overhead time.Duration
-		okTry    int
-		sceneCut bool
-	)
-	for attempt := 0; ; attempt++ {
-		f.mgr.Attempt = attempt
-		if f.health != nil {
-			f.topo.Down = f.health.Down()
-			f.mgr.Down = f.topo.Down
-		}
-		start := time.Now()
-		// Two balancing decisions per pair, each against its own chain's
-		// warm-start slots and σʳ carry. The balancer's output buffers are
-		// double-buffered, so both distributions stay valid through the
-		// joint execution.
-		f.selectChain(chainA)
-		dA, err = f.bal.Distribute(f.pm, f.topo, wA, f.prev[chainA])
-		if err != nil {
-			return Result{}, Result{}, false, err
-		}
-		f.selectChain(chainB)
-		dB, err = f.bal.Distribute(f.pm, f.topo, wB, f.prev[chainB])
-		if err != nil {
-			return Result{}, Result{}, false, err
-		}
-		dlA, dlB := f.pairDeadline(dA, dB), f.pairDeadline(dB, dA)
-		overhead += time.Since(start)
-
-		if tel.Enabled() {
-			f.pm.SnapshotInto(&f.snapBefore)
-		}
-		ftA, ftB, err = f.mgr.EncodeInterFramePair(
-			vcm.PairInput{Frame: idxA, Chain: chainA, W: wA, D: dA, PrevSigmaR: f.prev[chainA], CF: cfA, Deadline: dlA},
-			vcm.PairInput{Frame: idxB, Chain: chainB, W: wB, D: dB, PrevSigmaR: f.prev[chainB], CF: cfB, Deadline: dlB},
-			f.pm)
-		if err == nil {
-			okTry = attempt
-			break
-		}
-		if errors.Is(err, vcm.ErrPairSceneCut) {
-			// Frame A scene-cut to an IDR inside R*, flushing every chain;
-			// frame B never touched the encoder and is re-offered serially.
-			okTry = attempt
-			sceneCut = true
-			break
-		}
-		var de *vcm.DeadlineError
-		if f.health == nil || !errors.As(err, &de) || attempt+1 >= f.opts.MaxFrameRetries {
-			if errors.As(err, &de) {
-				tel.CaptureBundle("deadline_error", de.Frame, de.Error())
-			}
-			return Result{}, Result{}, false, err
-		}
-		// Neither frame's functional kernels ran (the deadline trips on the
-		// simulated timeline first), so the whole pair replays bit-exactly
-		// on the reduced topology.
-		f.retries.Add(1)
-		tel.FrameRetry(de.Frame, attempt+1, de.Point, de.Blamed)
-		for _, dev := range de.Blamed {
-			f.reportMiss(de.Frame, dev, de.Point)
-		}
-	}
-	if f.health != nil {
-		for i := 0; i < f.topo.NumDevices(); i++ {
-			if !f.topo.IsDown(i) {
-				if from, to, changed := f.health.Clean(i); changed {
-					tel.HealthTransition(idxA, i, from.String(), to.String(), "recovered")
-				}
-			}
-		}
-	}
-	f.prev[chainA] = append(f.prev[chainA][:0], dA.SigmaR...)
-	ftA.Chain = chainA
-	ra = Result{FrameIndex: idxA, Attempt: okTry, Timing: ftA,
-		Distribution: dA, SchedOverhead: overhead, Stats: ftA.Stats}
-	if sceneCut {
-		f.lastIntra = idxA
-		f.frame = idxA + 1
-		f.resetSigmaCarry()
-		if tel.Enabled() {
-			f.emitFrameTelemetry(tel, ra)
-		}
-		return ra, Result{}, false, nil
-	}
-	f.prev[chainB] = append(f.prev[chainB][:0], dB.SigmaR...)
-	f.frame = idxB + 1
-	ftB.Chain = chainB
-	if ftB.Stats.Intra {
-		// Frame B scene-cut to an IDR after frame A completed as inter:
-		// the encoder flushed and reseeded every chain, so mirror its
-		// counter reset exactly as the serial loop does.
-		f.lastIntra = idxB
-		f.resetSigmaCarry()
-	}
-	rb = Result{FrameIndex: idxB, Attempt: okTry, Timing: ftB,
-		Distribution: dB, SchedOverhead: 0, Stats: ftB.Stats}
-	if tel.Enabled() {
-		f.emitFrameTelemetry(tel, ra)
-		f.emitFrameTelemetry(tel, rb)
-	}
-	return ra, rb, true, nil
-}
-
-// pairDeadline derives one pair frame's budgets: only the total and the
-// per-task stall net are armed — the LP's τ1/τ2 predictions assume a solo
-// schedule and would misfire on the interleaved joint timeline. The total
-// budget is the *pair's* serial upper bound (both frames' predicted τtot)
-// times the slack factor: an interleaved schedule that beats serial never
-// trips it, a stalled device (×1e9) always does.
-func (f *Framework) pairDeadline(self, other sched.Distribution) *vcm.Deadline {
-	if f.opts.DeadlineSlack <= 0 {
-		return nil
-	}
-	dl := &vcm.Deadline{TaskBudget: stallTaskBudget}
-	if self.PredTot > 0 && other.PredTot > 0 {
-		dl.Tot = (self.PredTot + other.PredTot) * f.opts.DeadlineSlack
-	}
-	return dl
-}
-
 // deadline derives one frame's budgets from the balancer's predicted
-// timeline times the slack factor; frames without predictions (the
-// equidistant initialization, non-LP balancers) keep only the stall
-// safety net. Nil while failover is unarmed.
-func (f *Framework) deadline(d sched.Distribution) *vcm.Deadline {
-	if f.opts.DeadlineSlack <= 0 {
-		return nil
+// timeline times the slack factor; the zero Deadline while failover is
+// unarmed. A frame alone in its window arms all three sync points. With a
+// partner only the total is armed — the LP's τ1/τ2 predictions assume a
+// solo schedule and would misfire on the interleaved joint timeline — at
+// the *pair's* serial upper bound (both frames' predicted τtot): an
+// interleaved schedule that beats serial never trips it, a stalled device
+// (×1e9) always does. Frames without predictions (the equidistant
+// initialization, non-LP balancers) keep only the per-task stall net.
+func (f *Framework) deadline(self sched.Distribution, partner *sched.Distribution) vcm.Deadline {
+	s := f.opts.DeadlineSlack
+	if s <= 0 {
+		return vcm.Deadline{}
 	}
-	dl := &vcm.Deadline{TaskBudget: stallTaskBudget}
-	if d.PredTot > 0 {
-		s := f.opts.DeadlineSlack
-		dl.Tau1, dl.Tau2, dl.Tot = d.PredTau1*s, d.PredTau2*s, d.PredTot*s
+	dl := vcm.Deadline{TaskBudget: stallTaskBudget}
+	if partner == nil {
+		if self.PredTot > 0 {
+			dl.Tau1, dl.Tau2, dl.Tot = self.PredTau1*s, self.PredTau2*s, self.PredTot*s
+		}
+	} else if self.PredTot > 0 && partner.PredTot > 0 {
+		dl.Tot = (self.PredTot + partner.PredTot) * s
 	}
 	return dl
 }

@@ -5,6 +5,7 @@ import (
 
 	"feves/internal/device"
 	"feves/internal/sched"
+	"feves/internal/vcm"
 )
 
 // TestPairFailoverExcludesStalledDevice drives the frame-parallel loop
@@ -78,10 +79,10 @@ func TestPairFailoverExcludesStalledDevice(t *testing.T) {
 }
 
 // TestPairDeadlineDerivation pins the budget arithmetic of the two
-// deadline shapes: the serial path arms all three sync points from the
-// LP's predicted timeline, while the pair path arms only the pair-wide
-// total (the per-point predictions assume a solo schedule) plus the
-// stall net — and neither arms anything while failover is off.
+// deadline shapes: a frame alone in its window arms all three sync points
+// from the LP's predicted timeline, while a frame with a partner arms only
+// the pair-wide total (the per-point predictions assume a solo schedule)
+// plus the stall net — and neither arms anything while failover is off.
 func TestPairDeadlineDerivation(t *testing.T) {
 	opts := timingOpts(device.SysNFF(), 32, 1)
 	fw, err := New(opts)
@@ -89,7 +90,7 @@ func TestPairDeadlineDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := sched.Distribution{PredTau1: 1, PredTau2: 2, PredTot: 3}
-	if fw.deadline(pred) != nil || fw.pairDeadline(pred, pred) != nil {
+	if fw.deadline(pred, nil) != (vcm.Deadline{}) || fw.deadline(pred, &pred) != (vcm.Deadline{}) {
 		t.Fatal("deadlines armed with zero slack")
 	}
 
@@ -98,24 +99,24 @@ func TestPairDeadlineDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl := fw.deadline(pred)
+	dl := fw.deadline(pred, nil)
 	if dl.Tau1 != 2 || dl.Tau2 != 4 || dl.Tot != 6 || dl.TaskBudget <= 0 {
 		t.Fatalf("serial deadline %+v, want per-point budgets at 2x slack", dl)
 	}
 	// No prediction (equidistant initialization): only the stall net.
-	dl = fw.deadline(sched.Distribution{})
+	dl = fw.deadline(sched.Distribution{}, nil)
 	if dl.Tau1 != 0 || dl.Tau2 != 0 || dl.Tot != 0 || dl.TaskBudget <= 0 {
 		t.Fatalf("prediction-free deadline %+v, want stall net only", dl)
 	}
 	other := sched.Distribution{PredTot: 5}
-	pd := fw.pairDeadline(pred, other)
+	pd := fw.deadline(pred, &other)
 	if pd.Tau1 != 0 || pd.Tau2 != 0 {
 		t.Fatalf("pair deadline arms per-point budgets: %+v", pd)
 	}
 	if pd.Tot != (3+5)*2 {
 		t.Fatalf("pair total budget %v, want the serial upper bound x slack = 16", pd.Tot)
 	}
-	if pd := fw.pairDeadline(pred, sched.Distribution{}); pd.Tot != 0 || pd.TaskBudget <= 0 {
+	if pd := fw.deadline(pred, &sched.Distribution{}); pd.Tot != 0 || pd.TaskBudget <= 0 {
 		t.Fatalf("pair deadline without both predictions %+v, want stall net only", pd)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"sync"
 
 	"feves/internal/device"
-	"feves/internal/h264"
 	"feves/internal/serve"
 	"feves/internal/telemetry"
 )
@@ -353,21 +352,6 @@ func (f *Fleet) aliveLocked() []*node {
 	return out
 }
 
-// workloadOf mirrors serve.JobSpec's pool demand for routing weights.
-func workloadOf(sp serve.JobSpec) device.Workload {
-	sa, rf := sp.SearchArea, sp.RefFrames
-	if sa == 0 {
-		sa = 32
-	}
-	if rf == 0 {
-		rf = 1
-	}
-	return device.Workload{
-		MBW: sp.Width / h264.MBSize, MBH: sp.Height / h264.MBSize,
-		SA: sa, NumRF: rf, UsableRF: rf,
-	}
-}
-
 // unitWeight is a placement's serialized row demand: frame rows × frames,
 // the numerator of the router LP's node finish-time estimate.
 func unitWeight(w device.Workload, frames int) float64 {
@@ -511,8 +495,8 @@ func (f *Fleet) Submit(spec serve.JobSpec) (JobRef, error) {
 		f.mu.Unlock()
 		return JobRef{}, serve.ErrDraining
 	}
-	w := workloadOf(spec)
-	weight := unitWeight(w, frameCountOf(spec))
+	w := spec.Workload()
+	weight := unitWeight(w, spec.FrameCount())
 	n, job, err := f.placeLocked(spec, w, weight, nil, nil)
 	f.mu.Unlock()
 	if err != nil {
@@ -529,16 +513,6 @@ func (f *Fleet) Submit(spec serve.JobSpec) (JobRef, error) {
 		f.mu.Unlock()
 	}()
 	return JobRef{Node: n.label, Job: job}, nil
-}
-
-func frameCountOf(sp serve.JobSpec) int {
-	if sp.Mode == serve.ModeEncode {
-		if fb := sp.Width * sp.Height * 3 / 2; fb > 0 {
-			return len(sp.YUV) / fb
-		}
-		return 0
-	}
-	return sp.Frames
 }
 
 // Jobs lists every fleet-routed and node-local job as JobRefs, nodes in

@@ -53,7 +53,7 @@ func soloEncode(t *testing.T, spec StreamSpec) []byte {
 	}
 	fw, err := core.New(core.Options{
 		Platform: pl,
-		Codec:    codecConfigOf(spec.jobSpec(ShardRange{Start: 0, Frames: spec.frameCount()}, 0)),
+		Codec:    spec.jobSpec(ShardRange{Start: 0, Frames: spec.frameCount()}, 0).CodecConfig(),
 		Mode:     vcm.Functional,
 	})
 	if err != nil {
@@ -410,6 +410,54 @@ func TestSimulateStreamAggregates(t *testing.T) {
 	for _, r := range st.Results() {
 		if r.Frame%5 == 0 && !r.Intra {
 			t.Fatalf("global frame %d should be an IDR under intra period 5", r.Frame)
+		}
+	}
+}
+
+// TestSpecDefaultsNormalisedOnce submits a stream whose optional coding
+// parameters are all zero and compares the two places its normalised form
+// is used: what each node's serve session ran with (the spec serve stored
+// at admission) and what the fleet routed, weighted and reassembles by.
+// Both must be the paper's evaluation configuration, SA 32, 1 RF, QP 27/28.
+func TestSpecDefaultsNormalisedOnce(t *testing.T) {
+	f, err := New(Config{Nodes: testNodes(t, 2, "sysnfk")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const w, h, frames, gop = 64, 64, 8, 4
+	st, err := f.SubmitStream(StreamSpec{Mode: serve.ModeEncode, Width: w, Height: h,
+		IntraPeriod: gop, YUV: testYUV(w, h, frames)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Wait(); got != serve.StatusDone {
+		t.Fatalf("stream finished %q (%s)", got, st.Status().Error)
+	}
+	want := serve.JobSpec{Mode: serve.ModeEncode, Width: w, Height: h, IntraPeriod: gop,
+		SearchArea: 32, RefFrames: 1, IQP: 27, PQP: 28}
+	if st.cfg != want.CodecConfig() {
+		t.Fatalf("fleet reassembles by %+v, want the defaulted %+v", st.cfg, want.CodecConfig())
+	}
+	if len(st.shards) != frames/gop {
+		t.Fatalf("stream split into %d shards, want %d", len(st.shards), frames/gop)
+	}
+	for _, sh := range st.shards {
+		ran := sh.job.Spec() // serve's side: defaults applied at admission
+		if sh.spec.Workload() != ran.Workload() || ran.Workload() != want.Workload() {
+			t.Fatalf("shard %d routed by %+v, session leased by %+v, want %+v",
+				sh.idx, sh.spec.Workload(), ran.Workload(), want.Workload())
+		}
+		cfg := want.CodecConfig()
+		if got := ran.CodecConfig(); got != cfg {
+			t.Fatalf("shard %d session coded with %+v, want %+v", sh.idx, got, cfg)
+		}
+		if sh.spec.FrameCount() != ran.FrameCount() || ran.FrameCount() != gop {
+			t.Fatalf("shard %d: fleet counts %d frames, serve %d, want %d",
+				sh.idx, sh.spec.FrameCount(), ran.FrameCount(), gop)
+		}
+		if sh.weight != unitWeight(want.Workload(), gop) {
+			t.Fatalf("shard %d weight %v, want %v", sh.idx, sh.weight, unitWeight(want.Workload(), gop))
 		}
 	}
 }

@@ -179,11 +179,11 @@ func (f *Fleet) SubmitStream(spec StreamSpec) (*Stream, error) {
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	w := workloadOf(whole)
+	w := whole.Workload()
 	for i, r := range ranges {
 		js := spec.jobSpec(r, i)
 		if i == 0 {
-			st.cfg = codecConfigOf(js)
+			st.cfg = js.CodecConfig()
 		}
 		st.shards = append(st.shards, &shard{
 			idx: i, rng: r, spec: js, weight: unitWeight(w, r.Frames),
@@ -230,36 +230,6 @@ func (f *Fleet) SubmitStream(spec StreamSpec) (*Stream, error) {
 		go f.watchShard(st, sh, sh.node, sh.job)
 	}
 	return st, nil
-}
-
-// codecConfigOf mirrors serve.JobSpec.codecConfig for reassembly: the
-// sequence-header bytes to strip depend on the normalized coding config.
-func codecConfigOf(sp serve.JobSpec) codec.Config {
-	sa, rf, iqp, pqp := sp.SearchArea, sp.RefFrames, sp.IQP, sp.PQP
-	if sa == 0 {
-		sa = 32
-	}
-	if rf == 0 {
-		rf = 1
-	}
-	if iqp == 0 {
-		iqp = 27
-	}
-	if pqp == 0 {
-		pqp = 28
-	}
-	chains := 1
-	if sp.FrameParallel {
-		chains = 2
-	}
-	return codec.Config{
-		Width: sp.Width, Height: sp.Height,
-		SearchRange: sa / 2, NumRF: rf,
-		IQP: iqp, PQP: pqp,
-		IntraPeriod:       sp.IntraPeriod,
-		SceneCutThreshold: sp.SceneCutThreshold,
-		Chains:            chains,
-	}
 }
 
 // streamNodesLocked lists the alive nodes currently hosting other shards
@@ -356,7 +326,7 @@ func (f *Fleet) rerouteShardLocked(st *Stream, sh *shard, why string) {
 			fmt.Sprintf("shard %d exhausted %d re-leases: %s", sh.idx, f.cfg.MaxShardRetries, why))
 		return
 	}
-	w := workloadOf(sh.spec)
+	w := sh.spec.Workload()
 	n2, job2, err := f.placeLocked(sh.spec, w, sh.weight, sh.node, streamNodesLocked(st, sh))
 	if err != nil {
 		f.finishStreamLocked(st, serve.StatusFailed,
@@ -421,7 +391,7 @@ func (f *Fleet) speculateLocked() {
 			if lag <= f.cfg.SpecSlack {
 				continue
 			}
-			w := workloadOf(sh.spec)
+			w := sh.spec.Workload()
 			n2, job2, err := f.placeLocked(sh.spec, w, sh.weight, sh.node, streamNodesLocked(st, sh))
 			if err != nil {
 				continue // best effort: every node busy now; the next tick retries

@@ -82,8 +82,8 @@ func (sp JobSpec) withDefaults() JobSpec {
 // frameBytes is the packed I420 size of one frame.
 func (sp JobSpec) frameBytes() int { return sp.Width * sp.Height * 3 / 2 }
 
-// frameCount returns the number of frames the job will process.
-func (sp JobSpec) frameCount() int {
+// FrameCount returns the number of frames the job will process.
+func (sp JobSpec) FrameCount() int {
 	if sp.Mode == ModeEncode {
 		if fb := sp.frameBytes(); fb > 0 {
 			return len(sp.YUV) / fb
@@ -120,7 +120,7 @@ func (sp JobSpec) validate() error {
 				sp.frameBytes(), len(sp.YUV))
 		}
 	}
-	return sp.codecConfig().Validate()
+	return sp.CodecConfig().Validate()
 }
 
 // Validate checks the spec exactly as Submit would without admitting it.
@@ -129,7 +129,12 @@ func (sp JobSpec) validate() error {
 // accepts work.
 func (sp JobSpec) Validate() error { return sp.withDefaults().validate() }
 
-func (sp JobSpec) codecConfig() codec.Config {
+// CodecConfig is the coding configuration the job's session runs with,
+// the optional parameters defaulted. Together with Workload and FrameCount
+// it is the one normalisation of a spec: the fleet layer routes, shards
+// and reassembles by these same values.
+func (sp JobSpec) CodecConfig() codec.Config {
+	sp = sp.withDefaults()
 	chains := 1
 	if sp.FrameParallel {
 		chains = 2
@@ -145,8 +150,10 @@ func (sp JobSpec) codecConfig() codec.Config {
 	}
 }
 
-// workload is the standing demand handed to the pool partitioner.
-func (sp JobSpec) workload() device.Workload {
+// Workload is the standing demand handed to the pool partitioner, the
+// optional parameters defaulted.
+func (sp JobSpec) Workload() device.Workload {
+	sp = sp.withDefaults()
 	return device.Workload{
 		MBW: sp.Width / h264.MBSize, MBH: sp.Height / h264.MBSize,
 		SA: sp.SearchArea, NumRF: sp.RefFrames, UsableRF: sp.RefFrames,
@@ -261,11 +268,11 @@ func (j *Job) remainingWeight() float64 {
 	if j.status.terminal() {
 		return 0
 	}
-	rem := j.spec.frameCount() - len(j.results)
+	rem := j.spec.FrameCount() - len(j.results)
 	if rem <= 0 {
 		return 0
 	}
-	return float64(j.spec.workload().Rows() * rem)
+	return float64(j.spec.Workload().Rows() * rem)
 }
 
 // Status returns the job's current status document.
@@ -275,7 +282,7 @@ func (j *Job) Status() JobStatus {
 	st := JobStatus{
 		ID: j.id, Name: j.spec.Name, Mode: j.spec.Mode,
 		Status: j.status, Error: j.errMsg,
-		Frames: j.spec.frameCount(), Completed: len(j.results),
+		Frames: j.spec.FrameCount(), Completed: len(j.results),
 		Devices:   append([]string(nil), j.devices...),
 		Submitted: j.submitted,
 	}

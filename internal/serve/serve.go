@@ -261,7 +261,7 @@ func (s *Server) schedule() {
 			return
 		case s.slots <- struct{}{}:
 		}
-		lease, err := s.pool.Acquire(job.spec.workload())
+		lease, err := s.pool.Acquire(job.spec.Workload())
 		if err != nil {
 			// Slot accounting makes exhaustion impossible; anything else
 			// is a spec/platform mismatch and fails just this job.
@@ -329,7 +329,7 @@ func (s *Server) runSession(job *Job, lease *pool.Lease) (Status, string, []byte
 	curFrame, pendingFailover := spec.FrameBase, false
 	opts := core.Options{
 		Platform:        pl,
-		Codec:           spec.codecConfig(),
+		Codec:           spec.CodecConfig(),
 		Mode:            mode,
 		Telemetry:       tel,
 		CheckSchedules:  s.cfg.CheckSchedules,
@@ -367,7 +367,7 @@ func (s *Server) runSession(job *Job, lease *pool.Lease) (Status, string, []byte
 	defer s.untrackSession(job.id)
 	job.start(deviceNames(pl))
 
-	frames := spec.frameCount()
+	frames := spec.FrameCount()
 	fb := spec.frameBytes()
 	maxRetries := s.cfg.MaxFrameRetries
 	if maxRetries <= 0 {

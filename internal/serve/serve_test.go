@@ -212,7 +212,7 @@ func TestEncodeJobBitExactVersusSolo(t *testing.T) {
 	// Solo reference: one framework over the full platform.
 	fw, err := core.New(core.Options{
 		Platform: testPlatform(t),
-		Codec:    spec.withDefaults().codecConfig(),
+		Codec:    spec.CodecConfig(),
 		Mode:     vcm.Functional,
 	})
 	if err != nil {

@@ -32,7 +32,7 @@ func TestConcurrentSessionScopes(t *testing.T) {
 			}
 			for f := 1; f <= frames; f++ {
 				sc.FrameStart(f, false)
-				sc.FrameSpans(f, f%3, 0.010, 0.015, 0.020, spans)
+				sc.FrameSpans(f, f%3, 0.010, 0.015, 0.020, 0.020, spans)
 				sc.FrameEnd(FrameRecord{
 					Frame: f, Attempt: f % 3, Tau1: 0.010, Tau2: 0.015, Tot: 0.020,
 					PredTot: 0.019, M: []int{4, 2}, L: []int{3, 3},

@@ -566,23 +566,19 @@ func (t *Telemetry) CaptureBundle(reason string, frame int, detail string) Bundl
 }
 
 // FrameSpans records one frame's executed schedule. Spans feed the
-// whole-run Perfetto timeline at the scope's current run offset (which
-// then advances by tot so consecutive frames abut on the tenant's lane)
-// and are staged for the flight recorder until FrameEnd commits the
-// frame. spans may alias caller scratch; it is only read before the next
-// frame starts.
-func (t *Telemetry) FrameSpans(frame, attempt int, tau1, tau2, tot float64, spans []Span) {
-	t.FrameSpansAdvance(frame, attempt, tau1, tau2, tot, tot, spans)
-}
-
-// FrameSpansAdvance is FrameSpans with an explicit run-offset advance,
-// decoupled from the frame's τtot. Frame-parallel pairs share one
-// simulated interval: frame A advances the offset by zero so frame B
-// lands on the same trace origin (the two frames' spans interleave on the
-// device lanes, as they did on the devices), and frame B advances it by
-// the pair's joint makespan. The advance also meters the simulated-time
-// counter, so a pair accrues its makespan once instead of twice.
-func (t *Telemetry) FrameSpansAdvance(frame, attempt int, tau1, tau2, tot, advance float64, spans []Span) {
+// whole-run Perfetto timeline at the scope's current run offset and are
+// staged for the flight recorder until FrameEnd commits the frame. spans
+// may alias caller scratch; it is only read before the next frame starts.
+//
+// The run offset then moves on by advance, decoupled from the frame's
+// τtot: a serial frame advances it by tot so consecutive frames abut on
+// the tenant's lane, while the frames of a jointly scheduled window share
+// one simulated interval — all but the last advance by zero so they land
+// on the same trace origin (their spans interleave on the device lanes, as
+// they did on the devices), and the last advances by the window's
+// makespan. The advance also meters the simulated-time counter, so a
+// window accrues its makespan once.
+func (t *Telemetry) FrameSpans(frame, attempt int, tau1, tau2, tot, advance float64, spans []Span) {
 	if t == nil {
 		return
 	}

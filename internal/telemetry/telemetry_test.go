@@ -18,7 +18,7 @@ func TestNilTelemetryIsSafe(t *testing.T) {
 	tel.FrameEnd(FrameRecord{Frame: 1, Tot: 0.01})
 	tel.Audit(AuditRecord{Frame: 1, PredTot: 0.01, Measured: 0.011})
 	tel.Mark("idr", 8)
-	tel.FrameSpans(1, 0, 0.001, 0.002, 0.003, []Span{{Resource: "r", Label: "ME@0", End: 0.003}})
+	tel.FrameSpans(1, 0, 0.001, 0.002, 0.003, 0.003, []Span{{Resource: "r", Label: "ME@0", End: 0.003}})
 	tel.Incident("device_down", 1, 0, "test")
 	_ = tel.CaptureBundle("test", 1, "")
 	_ = tel.ForSession("s")
@@ -107,8 +107,8 @@ func TestTraceWriterTimeline(t *testing.T) {
 		{Resource: "GPU_K#0.compute", Label: "INT@0", Start: 0, End: 0.004},
 		{Resource: "host", Label: "tau1", Start: 0.004, End: 0.004},
 	}
-	tel.FrameSpans(1, 0, 0.004, 0.006, 0.01, spans)
-	tel.FrameSpans(2, 0, 0.003, 0.005, 0.008, spans)
+	tel.FrameSpans(1, 0, 0.004, 0.006, 0.01, 0.01, spans)
+	tel.FrameSpans(2, 0, 0.003, 0.005, 0.008, 0.008, spans)
 	if got := tel.Trace.Frames(); got != 2 {
 		t.Fatalf("Frames = %d, want 2", got)
 	}

@@ -5,9 +5,10 @@ import (
 	"strings"
 )
 
-// Deadline arms per-sync-point budget enforcement on EncodeInterFrame: the
-// measured τ1/τ2/τtot of the simulated schedule must stay within the given
-// budgets (simulated seconds; zero disables that point). The budgets are
+// Deadline arms per-sync-point budget enforcement on one frame of an
+// EncodeFrames window: the measured τ1/τ2/τtot of the simulated schedule
+// must stay within the given budgets (simulated seconds; zero disables that
+// point, so the zero Deadline never fails a frame). The budgets are
 // derived by the core layer from the LP's predicted timeline times a slack
 // factor. TaskBudget additionally bounds any single kernel invocation —
 // the safety net that catches a stalled device during the equidistant
@@ -70,10 +71,7 @@ func blame(maxFac []float64) []int {
 // check evaluates the budgets against one frame's measurements. maxFac and
 // maxDur are per-device maxima of the frame's kernel slowdown factors and
 // kernel durations.
-func (dl *Deadline) check(frame int, t1, t2, tot float64, maxFac, maxDur []float64) *DeadlineError {
-	if dl == nil {
-		return nil
-	}
+func (dl Deadline) check(frame int, t1, t2, tot float64, maxFac, maxDur []float64) *DeadlineError {
 	fail := func(point string, meas, budget float64) *DeadlineError {
 		return &DeadlineError{
 			Frame: frame, Point: point, Measured: meas, Budget: budget,

@@ -36,7 +36,7 @@ func TestScheduleBuildZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := m.EncodeInterFrame(frame, w, d, pm, prevSigmaR, nil); err != nil {
+		if _, err := m.EncodeFrames(pm, FrameInput{Frame: frame, W: w, D: d, PrevSigmaR: prevSigmaR}); err != nil {
 			t.Fatal(err)
 		}
 		prevSigmaR = append(prevSigmaR[:0], d.SigmaR...)
@@ -65,11 +65,11 @@ func TestManagerReuseAcrossPlatforms(t *testing.T) {
 		topo := sched.Topology{NumGPU: pl.NumGPUs(), Cores: pl.Cores}
 		pm := sched.NewPerfModel(topo.NumDevices(), 0.8)
 		d := sched.Equidistant(topo.NumDevices(), w.Rows(), 0)
-		ft, err := m.EncodeInterFrame(1, w, d, pm, nil, nil)
+		fts, err := m.EncodeFrames(pm, FrameInput{Frame: 1, W: w, D: d})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ft
+		return fts[0]
 	}
 	shared := &Manager{Mode: TimingOnly}
 	hk := run(shared, device.SysHK())
@@ -109,7 +109,7 @@ func BenchmarkScheduleBuild(b *testing.B) {
 				return err
 			}
 		}
-		if _, err := m.EncodeInterFrame(frame, w, d, pm, prevSigmaR, nil); err != nil {
+		if _, err := m.EncodeFrames(pm, FrameInput{Frame: frame, W: w, D: d, PrevSigmaR: prevSigmaR}); err != nil {
 			return err
 		}
 		prevSigmaR = append(prevSigmaR[:0], d.SigmaR...)

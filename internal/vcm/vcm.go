@@ -11,6 +11,24 @@
 // In Functional mode every kernel task additionally carries the real
 // encoding work (the codec package's row-sliced module calls), so the
 // simulated schedule drives a genuine, bit-exact collaborative encode.
+//
+// One builder emits every schedule: EncodeFrames takes a window of frames
+// and submits each frame's Fig. 4 task graph into its own slot. A serial
+// frame is a window of one. Frame-parallel execution is a window of two
+// frames on distinct reference chains: the chains make the frames
+// data-independent (frame B predicts from chain B's references, none of
+// which frame A produces), so the only coupling is resource contention —
+// and that is what the joint schedule exploits: submission interleaves the
+// frames phase by phase on every device, so frame B's wave-1 kernels fill
+// the synchronization stalls of frame A's τ1/τ2 barriers instead of idling
+// the accelerators.
+//
+// Correctness under the simulator's strict-FIFO resources does not depend
+// on the submission order — task dependencies enforce the Fig. 4
+// structure per frame — so any interleaving is bit-exact; the order only
+// shapes the timeline. The functional payloads run strictly in display
+// order, which serializes the bitstream writes and keeps the output
+// byte-identical to the serial two-chain encode.
 package vcm
 
 import (
@@ -44,16 +62,15 @@ const (
 
 // FrameTiming reports one inter-frame's simulated execution.
 type FrameTiming struct {
-	Frame    int // 1-based inter-frame index
+	Frame    int // display index, as given in the FrameInput
 	Tau1     float64
 	Tau2     float64
 	Tot      float64
 	RStarDev int
-	// Chain is the reference chain the frame predicted from (always 0 on
-	// the single-chain serial path).
+	// Chain is the reference chain the frame predicted from.
 	Chain int
-	// PairMakespan is the joint makespan of the two-frame schedule this
-	// frame was part of (zero on the serial path): the frame-parallel
+	// PairMakespan is the joint makespan of the two-frame window this
+	// frame was part of (zero for a window of one): the frame-parallel
 	// throughput is 2 frames per PairMakespan seconds.
 	PairMakespan float64
 	// Module kernel-time totals summed over devices (seconds of device
@@ -63,8 +80,8 @@ type FrameTiming struct {
 	Stats rd.FrameStats
 	// Spans lists every executed task (kernels, transfers, barriers) for
 	// Gantt-style inspection of the Fig. 4 schedule. The slice aliases
-	// storage the Manager reuses: it is valid until the next
-	// EncodeInterFrame call on the same Manager; copy to keep it longer.
+	// storage the Manager reuses: it is valid until the next EncodeFrames
+	// call on the same Manager; copy to keep it longer.
 	Spans []TaskSpan
 }
 
@@ -84,6 +101,34 @@ func (t FrameTiming) FPS() float64 {
 	return 1 / t.Tot
 }
 
+// ErrPairSceneCut reports that the first frame of a two-frame window
+// scene-cut to an intra frame inside R*, flushing every reference chain:
+// the second frame's references no longer exist, its functional payloads
+// did not run, and the caller must re-encode it serially. The first
+// frame's FrameTiming (with its intra stats) is returned alongside.
+var ErrPairSceneCut = errors.New("vcm: scene cut inside frame pair, second frame aborted")
+
+// maxWindow is the largest number of frames one schedule can hold: one per
+// reference chain the codec supports.
+const maxWindow = 2
+
+// FrameInput is one frame's share of a jointly scheduled window.
+type FrameInput struct {
+	Frame int // 0-based display index
+	Chain int // reference chain the frame predicts from
+	W     device.Workload
+	D     sched.Distribution
+	// PrevSigmaR is the σʳ carry of the previous frame on the same chain
+	// (nil means none).
+	PrevSigmaR []int
+	CF         *h264.Frame // Functional mode only
+	// Deadline holds this frame's budgets; the zero value enforces nothing.
+	// In a window of two the core layer arms only Tot and TaskBudget: the
+	// per-point τ1/τ2 budgets assume a solo schedule and would misfire on
+	// the interleaved one.
+	Deadline Deadline
+}
+
 // Manager orchestrates collaborative inter-frame encoding on a platform.
 type Manager struct {
 	Platform *device.Platform
@@ -101,7 +146,8 @@ type Manager struct {
 	// Check runs the internal/check schedule validator on every executed
 	// frame: the Algorithm-2 distribution invariants, the data-access
 	// consistency rules and the τ1/τ2/τtot dependency ordering of the
-	// executed timeline. A violation fails the frame with a check.Error.
+	// executed timeline, plus the cross-frame rules on a window of two. A
+	// violation fails the window with a check.Error.
 	// Off by default; the cost when on is O(spans²) per frame.
 	Check bool
 	// CheckObserve softens Check for the serving path: instead of failing
@@ -114,48 +160,47 @@ type Manager struct {
 	// reaches every accelerator) are scheduled for them. The distribution
 	// must assign such devices zero rows.
 	Down []bool
-	// Deadline, when non-nil, enforces per-sync-point budgets on every
-	// frame: a breach aborts the frame *before* the functional kernels
-	// run, so the core layer can retry it bit-exactly on a reduced
-	// topology. Nil preserves the original never-fail behaviour.
-	Deadline *Deadline
-	// Attempt is the current retry attempt of the frame being executed
+	// Attempt is the current retry attempt of the window being executed
 	// (0 = first try); the core layer sets it before each run so trace
 	// slices and the flight recorder carry the causal attempt index.
 	Attempt int
 
-	// pairScr holds the two in-flight frames' retained build state for
-	// EncodeInterFramePair, mirroring the serial scratch below.
-	pairScr [2]pairScratch
-
-	// Per-frame scratch, retained across EncodeInterFrame calls so the
-	// steady-state frame loop allocates nothing: the discrete-event
-	// simulator (task free-list included), the per-device resources and
-	// precomputed task labels (rebuilt only when Platform changes), and
-	// every work slice the schedule build fills.
-	sim  *simclock.Sim
-	host *simclock.Resource
-	// hostB is the second frame's barrier resource in pair mode: τ barriers
-	// are zero-duration FIFO tasks, so the two in-flight frames need
-	// disjoint barrier queues or one frame's τ2 would head-of-line block
-	// behind the other's τ1.
-	hostB    *simclock.Resource
+	// slots holds the in-flight frames' retained build state and out their
+	// results, so the steady-state frame loop allocates nothing. Shared
+	// across slots and rebuilt only when Platform changes: the
+	// discrete-event simulator (task free-list included), the per-device
+	// resources and the precomputed task labels.
+	slots    [maxWindow]frameSlot
+	out      [maxWindow]FrameTiming
+	sim      *simclock.Sim
 	res      []devResources
 	builtFor *device.Platform
 	modLabel [4][]string // [Module][dev] "ME@3"
 	trLabel  [7][]string // [Transfer][dev] "SF.h2d@3"
 	zeroSR   []int
-	offM     []int
-	offL     []int
-	offS     []int
-	obsBuf   []obsRec
-	maxFac   []float64
-	maxDur   []float64
-	tau1Deps []*simclock.Task
-	tau2Deps []*simclock.Task
-	spans    []TaskSpan
-	chkSpans []check.Span
-	telSpans []telemetry.Span
+}
+
+// frameSlot is one in-flight frame's retained build state.
+type frameSlot struct {
+	// host is this slot's barrier resource ("host", "host.b"): τ barriers
+	// are zero-duration FIFO tasks, so in-flight frames need disjoint
+	// barrier queues or one frame's τ2 would head-of-line block behind the
+	// other's τ1.
+	host             *simclock.Resource
+	job              *codec.FrameJob
+	offM, offL, offS []int
+	obsBuf           []obsRec
+	// maxFac/maxDur collect per-device blame evidence for the deadline
+	// check: the worst kernel slowdown factor and the longest kernel.
+	maxFac, maxDur []float64
+	tasks          []*simclock.Task
+	tau1Deps       []*simclock.Task
+	tau2Deps       []*simclock.Task
+	tau1, tau2     *simclock.Task
+	payloads       framePayloads
+	spans          []TaskSpan
+	chkSpans       []check.Span
+	telSpans       []telemetry.Span
 }
 
 // obsRec is one schedule task pending a Performance Characterization
@@ -167,6 +212,24 @@ type obsRec struct {
 	isTr bool
 	rows int
 	task *simclock.Task
+}
+
+func (s *frameSlot) reset(nDev int) {
+	s.obsBuf = s.obsBuf[:0]
+	s.tasks = s.tasks[:0]
+	s.maxFac = growFloats(s.maxFac, nDev)
+	s.maxDur = growFloats(s.maxDur, nDev)
+	for i := range s.maxFac {
+		s.maxFac[i], s.maxDur[i] = 0, 0
+	}
+	s.payloads.wave1 = s.payloads.wave1[:0]
+	s.payloads.wave2 = s.payloads.wave2[:0]
+	s.payloads.completeINT = nil
+	s.payloads.rstar = nil
+	s.tau1Deps = s.tau1Deps[:0]
+	s.tau2Deps = s.tau2Deps[:0]
+	s.tau1, s.tau2 = nil, nil
+	s.job = nil
 }
 
 // ensureSim (re)builds the simulator, device resources and label tables
@@ -181,8 +244,8 @@ func (m *Manager) ensureSim() {
 	}
 	nDev := pl.NumDevices()
 	m.sim = simclock.New(0)
-	m.host = m.sim.NewResource("host")
-	m.hostB = m.sim.NewResource("host.b")
+	m.slots[0].host = m.sim.NewResource("host")
+	m.slots[1].host = m.sim.NewResource("host.b")
 	m.res = make([]devResources, nDev)
 	for i := 0; i < nDev; i++ {
 		p := pl.Dev(i)
@@ -263,195 +326,202 @@ type devResources struct {
 	ceD2H   *simclock.Resource // == ceH2D for single-copy-engine GPUs
 }
 
-// beginFunctionalFrame validates the functional-mode inputs and opens the
-// encoder's frame job; in timing-only mode it returns nil without error.
-func (m *Manager) beginFunctionalFrame(w device.Workload, cf *h264.Frame) (*codec.FrameJob, error) {
+// validate rejects a frame input the schedule cannot be built from.
+func (m *Manager) validate(in *FrameInput) error {
+	nDev := m.Platform.NumDevices()
+	if err := in.W.Validate(); err != nil {
+		return err
+	}
+	if err := in.D.Validate(in.W.Rows()); err != nil {
+		return err
+	}
+	if len(in.D.M) != nDev {
+		return fmt.Errorf("vcm: distribution for %d devices on %d-device platform", len(in.D.M), nDev)
+	}
+	for i := 0; i < nDev; i++ {
+		if m.isDown(i) && (in.D.M[i] != 0 || in.D.L[i] != 0 || in.D.S[i] != 0) {
+			return fmt.Errorf("vcm: distribution assigns rows to excluded device %d", i)
+		}
+	}
+	if m.isDown(in.D.RStarDev) {
+		return fmt.Errorf("vcm: R* placed on excluded device %d", in.D.RStarDev)
+	}
 	if m.Mode != Functional {
-		return nil, nil
+		return nil
 	}
-	if m.Enc == nil || cf == nil {
-		return nil, fmt.Errorf("vcm: functional mode needs an encoder and a frame")
+	if m.Enc == nil || in.CF == nil {
+		return fmt.Errorf("vcm: functional mode needs an encoder and a frame")
 	}
-	if cf.MBHeight() != w.Rows() || cf.MBWidth() != w.MBW {
-		return nil, fmt.Errorf("vcm: frame is %dx%d MBs but workload says %dx%d",
-			cf.MBWidth(), cf.MBHeight(), w.MBW, w.MBH)
+	if in.CF.MBHeight() != in.W.Rows() || in.CF.MBWidth() != in.W.MBW {
+		return fmt.Errorf("vcm: frame is %dx%d MBs but workload says %dx%d",
+			in.CF.MBWidth(), in.CF.MBHeight(), in.W.MBW, in.W.MBH)
 	}
-	return m.Enc.BeginFrame(cf), nil
+	if in.Chain < 0 || in.Chain >= m.Enc.Chains() {
+		return fmt.Errorf("vcm: frame %d predicts from chain %d of a %d-chain encoder",
+			in.Frame, in.Chain, m.Enc.Chains())
+	}
+	return nil
 }
 
-// EncodeInterFrame simulates one inter-frame under distribution d and
-// returns the measured timing, updating pm with every observed kernel and
-// transfer time. In Functional mode cf is encoded for real through the
-// manager's Encoder. prevSigmaR is the σʳ vector of the previous frame.
-func (m *Manager) EncodeInterFrame(frame int, w device.Workload, d sched.Distribution,
-	pm *sched.PerfModel, prevSigmaR []int, cf *h264.Frame) (FrameTiming, error) {
+// kernel submits one module kernel of a frame, recording the observation
+// and blame evidence into the frame's slot.
+func (m *Manager) kernel(s *frameSlot, in *FrameInput,
+	i int, mod sched.Module, nRows int, deps ...*simclock.Task) *simclock.Task {
 
+	if nRows == 0 || m.isDown(i) {
+		return nil
+	}
+	p := m.Platform.Dev(i)
+	var per float64
+	switch mod {
+	case sched.ModME:
+		per = p.KME(in.W)
+	case sched.ModINT:
+		per = p.KINT(in.W)
+	case sched.ModSME:
+		per = p.KSME(in.W)
+	case sched.ModRStar:
+		per = p.KRStar(in.W)
+	}
+	fac := m.Platform.EffectiveFactor(in.Frame, i, int(mod))
+	if fac > s.maxFac[i] {
+		s.maxFac[i] = fac
+	}
+	dur := float64(nRows) * per * fac
+	if dur > s.maxDur[i] {
+		s.maxDur[i] = dur
+	}
+	t := m.sim.Add(m.res[i].compute, m.modLabel[mod][i], dur, deps...)
+	s.obsBuf = append(s.obsBuf, obsRec{dev: i, mod: mod, rows: nRows, task: t})
+	s.tasks = append(s.tasks, t)
+	return t
+}
+
+// xfer submits one host↔device transfer of a frame.
+func (m *Manager) xfer(s *frameSlot, i int, tr sched.Transfer,
+	nRows, bytesPerRow int, h2d bool, deps ...*simclock.Task) *simclock.Task {
+
+	if nRows == 0 || !m.Platform.IsGPU(i) || m.isDown(i) {
+		return nil
+	}
+	p := m.Platform.Dev(i)
+	var dur float64
+	r := m.res[i].ceH2D
+	if h2d {
+		dur = p.TH2D(nRows * bytesPerRow)
+	} else {
+		dur = p.TD2H(nRows * bytesPerRow)
+		r = m.res[i].ceD2H
+	}
+	t := m.sim.Add(r, m.trLabel[tr][i], dur, deps...)
+	s.obsBuf = append(s.obsBuf, obsRec{dev: i, tr: tr, isTr: true, rows: nRows, task: t})
+	s.tasks = append(s.tasks, t)
+	return t
+}
+
+// phase1 submits one frame's τ1 phase (RF/CF/SFprev inputs, INT and ME
+// kernels, SF/MV outputs) and its τ1 barrier.
+//
+// Every payload closure here and in phase2/tail captures a local job
+// declared and assigned exactly once inside the Functional branch: a
+// captured variable that is reassigned is captured by reference, which
+// heap-allocates its cell on every call — even in timing-only mode, where
+// no closure is ever created.
+func (m *Manager) phase1(s *frameSlot, in *FrameInput) {
 	pl := m.Platform
-	nDev := pl.NumDevices()
-	if err := w.Validate(); err != nil {
-		return FrameTiming{}, err
-	}
-	if err := d.Validate(w.Rows()); err != nil {
-		return FrameTiming{}, err
-	}
-	if len(d.M) != nDev {
-		return FrameTiming{}, fmt.Errorf("vcm: distribution for %d devices on %d-device platform", len(d.M), nDev)
-	}
-	m.ensureSim()
+	d, w := &in.D, in.W
+	rows := w.Rows()
+	rstar := d.RStarDev
+	prevSigmaR := in.PrevSigmaR
 	if prevSigmaR == nil {
 		prevSigmaR = m.zeroSR
 	}
-	for i := 0; i < nDev; i++ {
-		if m.isDown(i) && (d.M[i] != 0 || d.L[i] != 0 || d.S[i] != 0) {
-			return FrameTiming{}, fmt.Errorf("vcm: distribution assigns rows to excluded device %d", i)
-		}
-	}
-	if m.isDown(d.RStarDev) {
-		return FrameTiming{}, fmt.Errorf("vcm: R* placed on excluded device %d", d.RStarDev)
-	}
-	// job must be assigned exactly once at its declaration: the payload
-	// closures capture it, and a variable reassigned after declaration is
-	// captured by reference — heap-allocating its cell on every call, even
-	// in timing-only mode where no closure is ever created.
-	job, err := m.beginFunctionalFrame(w, cf)
-	if err != nil {
-		return FrameTiming{}, err
-	}
-	var payloads framePayloads
-
-	sim := m.sim
-	host := m.host
-	res := m.res
-
-	m.offM = sched.OffsetsInto(m.offM, d.M)
-	m.offL = sched.OffsetsInto(m.offL, d.L)
-	m.offS = sched.OffsetsInto(m.offS, d.S)
-	offM, offL, offS := m.offM, m.offL, m.offS
-	rows := w.Rows()
-	rstar := d.RStarDev
-
-	m.obsBuf = m.obsBuf[:0]
-	// maxFac/maxDur collect per-device blame evidence for the deadline
-	// check: the worst kernel slowdown factor and the longest kernel.
-	m.maxFac = growFloats(m.maxFac, nDev)
-	m.maxDur = growFloats(m.maxDur, nDev)
-	maxFac, maxDur := m.maxFac, m.maxDur
-	for i := range maxFac {
-		maxFac[i], maxDur[i] = 0, 0
-	}
-	kernel := func(i int, mod sched.Module, nRows int, deps ...*simclock.Task) *simclock.Task {
-		if nRows == 0 || m.isDown(i) {
-			return nil
-		}
-		p := pl.Dev(i)
-		var per float64
-		switch mod {
-		case sched.ModME:
-			per = p.KME(w)
-		case sched.ModINT:
-			per = p.KINT(w)
-		case sched.ModSME:
-			per = p.KSME(w)
-		case sched.ModRStar:
-			per = p.KRStar(w)
-		}
-		fac := pl.EffectiveFactor(frame, i, int(mod))
-		if fac > maxFac[i] {
-			maxFac[i] = fac
-		}
-		dur := float64(nRows) * per * fac
-		if dur > maxDur[i] {
-			maxDur[i] = dur
-		}
-		t := sim.Add(res[i].compute, m.modLabel[mod][i], dur, deps...)
-		m.obsBuf = append(m.obsBuf, obsRec{dev: i, mod: mod, rows: nRows, task: t})
-		return t
-	}
-	xfer := func(i int, tr sched.Transfer, nRows, bytesPerRow int, h2d bool, deps ...*simclock.Task) *simclock.Task {
-		if nRows == 0 || !pl.IsGPU(i) || m.isDown(i) {
-			return nil
-		}
-		p := pl.Dev(i)
-		var dur float64
-		r := res[i].ceH2D
-		if h2d {
-			dur = p.TH2D(nRows * bytesPerRow)
-		} else {
-			dur = p.TD2H(nRows * bytesPerRow)
-			r = res[i].ceD2H
-		}
-		t := sim.Add(r, m.trLabel[tr][i], dur, deps...)
-		m.obsBuf = append(m.obsBuf, obsRec{dev: i, tr: tr, isTr: true, rows: nRows, task: t})
-		return t
-	}
-
-	// --- τ1 phase: RF/CF inputs, INT and ME kernels, SF/MV outputs. -----
-	m.tau1Deps = m.tau1Deps[:0]
-	for i := 0; i < nDev; i++ {
+	for i := 0; i < pl.NumDevices(); i++ {
 		var rf *simclock.Task
 		if pl.IsGPU(i) && i != rstar {
 			// The R* device reconstructed the RF itself; the others fetch
 			// it from the host (Fig. 5(a), start of τ1).
-			rf = xfer(i, sched.RFh2d, rows, w.RFRowBytes(), true)
+			rf = m.xfer(s, i, sched.RFh2d, rows, w.RFRowBytes(), true)
 		}
-		cfIn := xfer(i, sched.CFh2d, d.M[i], w.CFRowBytes(), true, rf)
-		sfPrev := xfer(i, sched.SFh2d, prevSigmaR[i], w.SFRowBytes(), true, rf)
+		cfIn := m.xfer(s, i, sched.CFh2d, d.M[i], w.CFRowBytes(), true, rf)
+		sfPrev := m.xfer(s, i, sched.SFh2d, prevSigmaR[i], w.SFRowBytes(), true, rf)
 
-		intT := kernel(i, sched.ModINT, d.L[i], rf)
+		intT := m.kernel(s, in, i, sched.ModINT, d.L[i], rf)
 		if intT != nil && m.Mode == Functional {
-			lo, hi := offL[i], offL[i]+d.L[i]
+			lo, hi := s.offL[i], s.offL[i]+d.L[i]
 			streams := pl.Dev(i).Streams
-			payloads.wave1 = append(payloads.wave1, func() { m.Enc.RunINTStreams(job, lo, hi, streams) })
+			job := s.job
+			s.payloads.wave1 = append(s.payloads.wave1, func() { m.Enc.RunINTStreams(job, lo, hi, streams) })
 		}
-		meT := kernel(i, sched.ModME, d.M[i], cfIn, rf)
+		meT := m.kernel(s, in, i, sched.ModME, d.M[i], cfIn, rf)
 		if meT != nil && m.Mode == Functional {
-			lo, hi := offM[i], offM[i]+d.M[i]
+			lo, hi := s.offM[i], s.offM[i]+d.M[i]
 			streams := pl.Dev(i).Streams
-			payloads.wave1 = append(payloads.wave1, func() { m.Enc.RunMEStreams(job, lo, hi, streams) })
+			job := s.job
+			s.payloads.wave1 = append(s.payloads.wave1, func() { m.Enc.RunMEStreams(job, lo, hi, streams) })
 		}
-		sfOut := xfer(i, sched.SFd2h, d.L[i], w.SFRowBytes(), false, intT)
-		mvOut := xfer(i, sched.MVd2h, d.M[i], w.MVRowBytes(), false, meT)
-		m.tau1Deps = append(m.tau1Deps, cfIn, sfPrev, intT, meT, sfOut, mvOut)
+		sfOut := m.xfer(s, i, sched.SFd2h, d.L[i], w.SFRowBytes(), false, intT)
+		mvOut := m.xfer(s, i, sched.MVd2h, d.M[i], w.MVRowBytes(), false, meT)
+		s.tau1Deps = append(s.tau1Deps, cfIn, sfPrev, intT, meT, sfOut, mvOut)
 	}
-	tau1 := sim.Add(host, "tau1", 0, m.tau1Deps...)
+	s.tau1 = m.sim.Add(s.host, "tau1", 0, s.tau1Deps...)
+	s.tasks = append(s.tasks, s.tau1)
 	if m.Mode == Functional {
-		payloads.completeINT = func() { m.Enc.CompleteINT(job) }
+		job := s.job
+		s.payloads.completeINT = func() { m.Enc.CompleteINT(job) }
 	}
+}
 
-	// --- τ2 phase: Δ transfers, SME kernels, MV outputs, R* prefetch. ---
-	m.tau2Deps = m.tau2Deps[:0]
-	for i := 0; i < nDev; i++ {
-		dlIn := xfer(i, sched.SFh2d, d.DeltaL[i], w.SFRowBytes(), true, tau1)
-		dmIn := xfer(i, sched.MVh2d, d.DeltaM[i], w.MVRowBytes(), true, tau1)
-		smeT := kernel(i, sched.ModSME, d.S[i], tau1, dlIn, dmIn)
+// phase2 submits one frame's τ2 phase (Δ transfers, SME kernels, MV
+// outputs, R* MC prefetch) and its τ2 barrier.
+func (m *Manager) phase2(s *frameSlot, in *FrameInput) {
+	pl := m.Platform
+	d, w := &in.D, in.W
+	rows := w.Rows()
+	rstar := d.RStarDev
+	tau1 := s.tau1
+	for i := 0; i < pl.NumDevices(); i++ {
+		dlIn := m.xfer(s, i, sched.SFh2d, d.DeltaL[i], w.SFRowBytes(), true, tau1)
+		dmIn := m.xfer(s, i, sched.MVh2d, d.DeltaM[i], w.MVRowBytes(), true, tau1)
+		smeT := m.kernel(s, in, i, sched.ModSME, d.S[i], tau1, dlIn, dmIn)
 		if smeT != nil && m.Mode == Functional {
-			lo, hi := offS[i], offS[i]+d.S[i]
+			lo, hi := s.offS[i], s.offS[i]+d.S[i]
 			streams := pl.Dev(i).Streams
-			payloads.wave2 = append(payloads.wave2, func() { m.Enc.RunSMEStreams(job, lo, hi, streams) })
+			job := s.job
+			s.payloads.wave2 = append(s.payloads.wave2, func() { m.Enc.RunSMEStreams(job, lo, hi, streams) })
 		}
-		m.tau2Deps = append(m.tau2Deps, smeT)
+		s.tau2Deps = append(s.tau2Deps, smeT)
 		if pl.IsGPU(i) {
 			if i == rstar {
 				// Prefetch the remaining CF and SF so MC can run (Fig. 5(b)).
 				// The counts clamp at zero: with conservative Δ (e.g. the
 				// no-reuse ablation) the device may already hold every row.
-				cfMC := xfer(i, sched.CFh2d, clamp0(rows-d.M[i]-d.DeltaM[i]), w.CFRowBytes(), true, tau1)
-				sfMC := xfer(i, sched.SFh2d, clamp0(rows-d.L[i]-d.DeltaL[i]), w.SFRowBytes(), true, tau1)
-				m.tau2Deps = append(m.tau2Deps, cfMC, sfMC)
+				cfMC := m.xfer(s, i, sched.CFh2d, clamp0(rows-d.M[i]-d.DeltaM[i]), w.CFRowBytes(), true, tau1)
+				sfMC := m.xfer(s, i, sched.SFh2d, clamp0(rows-d.L[i]-d.DeltaL[i]), w.SFRowBytes(), true, tau1)
+				s.tau2Deps = append(s.tau2Deps, cfMC, sfMC)
 			} else {
-				mvOut := xfer(i, sched.MVd2h, d.S[i], w.MVRowBytes(), false, smeT)
-				m.tau2Deps = append(m.tau2Deps, mvOut)
+				mvOut := m.xfer(s, i, sched.MVd2h, d.S[i], w.MVRowBytes(), false, smeT)
+				s.tau2Deps = append(s.tau2Deps, mvOut)
 			}
 		}
 	}
-	tau2 := sim.Add(host, "tau2", 0, m.tau2Deps...)
+	s.tau2 = m.sim.Add(s.host, "tau2", 0, s.tau2Deps...)
+	s.tasks = append(s.tasks, s.tau2)
+}
 
-	// --- τ2 → τtot: R* on its device, σ SF completion on the others. ----
+// tail submits one frame's τ2→τtot work: R* on its device (or the
+// cooperative CPU section) and the σ SF completions on the others.
+func (m *Manager) tail(s *frameSlot, in *FrameInput) {
+	pl := m.Platform
+	d, w := &in.D, in.W
+	rows := w.Rows()
+	rstar := d.RStarDev
+	tau2 := s.tau2
 	var rstarTask *simclock.Task
 	if pl.IsGPU(rstar) {
-		mvIn := xfer(rstar, sched.MVh2d, rows-d.S[rstar], w.MVRowBytes(), true, tau2)
-		rstarTask = kernel(rstar, sched.ModRStar, rows, tau2, mvIn)
-		xfer(rstar, sched.RFd2h, rows, w.RFRowBytes(), false, rstarTask)
+		mvIn := m.xfer(s, rstar, sched.MVh2d, rows-d.S[rstar], w.MVRowBytes(), true, tau2)
+		rstarTask = m.kernel(s, in, rstar, sched.ModRStar, rows, tau2, mvIn)
+		m.xfer(s, rstar, sched.RFd2h, rows, w.RFRowBytes(), false, rstarTask)
 	} else {
 		// CPU-centric: the R* group runs cooperatively on the surviving
 		// cores; model the parallel section as one slice per core.
@@ -468,84 +538,207 @@ func (m *Manager) EncodeInterFrame(frame int, w device.Workload, d sched.Distrib
 				share++
 			}
 			k++
-			t := kernel(c, sched.ModRStar, share, tau2)
+			t := m.kernel(s, in, c, sched.ModRStar, share, tau2)
 			if c == rstar {
 				rstarTask = t
 			}
 		}
 	}
 	if rstarTask != nil && m.Mode == Functional {
-		payloads.rstar = func() rd.FrameStats { return m.Enc.RunRStar(job) }
+		job := s.job
+		s.payloads.rstar = func() rd.FrameStats { return m.Enc.RunRStar(job) }
 	}
-	for i := 0; i < nDev; i++ {
+	for i := 0; i < pl.NumDevices(); i++ {
 		if pl.IsGPU(i) && i != rstar {
-			xfer(i, sched.SFh2d, d.Sigma[i], w.SFRowBytes(), true, tau2)
+			m.xfer(s, i, sched.SFh2d, d.Sigma[i], w.SFRowBytes(), true, tau2)
+		}
+	}
+}
+
+// EncodeFrames simulates a window of one or two inter frames as one
+// schedule and returns each completed frame's measured timing, updating pm
+// with every observed kernel and transfer time. Frames of a window of two
+// must predict from distinct reference chains; their submissions interleave
+// phase by phase. In Functional mode each frame's CF is encoded for real
+// through the manager's Encoder, in display order.
+//
+// Deadline budgets are checked per frame on the simulated timeline, before
+// any functional kernel runs: a trip aborts the whole window with the
+// encoder untouched, so the core layer's retry on a reduced topology
+// reproduces the bitstream bit-exactly. A scene cut inside a frame with
+// later frames behind it returns the timings up to and including that
+// frame together with ErrPairSceneCut.
+//
+// The returned slice aliases storage the Manager reuses: like the Spans it
+// carries, it is valid until the next EncodeFrames call.
+func (m *Manager) EncodeFrames(pm *sched.PerfModel, frames ...FrameInput) ([]FrameTiming, error) {
+	n := len(frames)
+	if n == 0 || n > maxWindow {
+		return nil, fmt.Errorf("vcm: window of %d frames, want 1..%d", n, maxWindow)
+	}
+	for k := range frames {
+		if err := m.validate(&frames[k]); err != nil {
+			return nil, err
+		}
+		for j := 0; j < k; j++ {
+			if frames[j].Chain == frames[k].Chain {
+				return nil, fmt.Errorf("vcm: frames %d and %d share chain %d",
+					frames[j].Frame, frames[k].Frame, frames[k].Chain)
+			}
+		}
+	}
+	m.ensureSim()
+	nDev := m.Platform.NumDevices()
+	for k := range frames {
+		s, in := &m.slots[k], &frames[k]
+		s.reset(nDev)
+		s.offM = sched.OffsetsInto(s.offM, in.D.M)
+		s.offL = sched.OffsetsInto(s.offL, in.D.L)
+		s.offS = sched.OffsetsInto(s.offS, in.D.S)
+		if m.Mode == Functional {
+			s.job = m.Enc.BeginFrameOn(in.CF, in.Chain)
 		}
 	}
 
-	makespan, err := sim.Run()
+	// Interleaved submission: per phase, the first frame's tasks enter
+	// every device queue first, the second frame's right behind — its wave
+	// fills the first's synchronization stalls on the strict-FIFO engines.
+	for k := range frames {
+		m.phase1(&m.slots[k], &frames[k])
+	}
+	for k := range frames {
+		m.phase2(&m.slots[k], &frames[k])
+	}
+	for k := range frames {
+		m.tail(&m.slots[k], &frames[k])
+	}
+
+	makespan, err := m.sim.Run()
 	if err != nil {
-		return FrameTiming{}, fmt.Errorf("vcm: schedule execution: %w", err)
+		return nil, fmt.Errorf("vcm: schedule execution: %w", err)
 	}
-	// Deadline enforcement happens on the *simulated* timeline, before any
-	// functional kernel touches encoder state: an aborted frame leaves the
-	// codec exactly as BeginFrame found it, so the core layer's retry on a
-	// reduced topology reproduces the bitstream bit-exactly.
-	if derr := m.Deadline.check(frame, tau1.End, tau2.End, makespan, maxFac, maxDur); derr != nil {
-		return FrameTiming{}, derr
+
+	// Every frame's budgets are checked and the error that names a culprit
+	// wins: on the shared FIFO engines one frame's lateness is often caused
+	// by its partner's sick device (a fault landing on frame B drags frame
+	// A's τtot past its budget too), and failover can only act on blame.
+	out := m.out[:n]
+	var derr *DeadlineError
+	for k := range frames {
+		s, in := &m.slots[k], &frames[k]
+		out[k] = FrameTiming{Frame: in.Frame, Tau1: s.tau1.End, Tau2: s.tau2.End,
+			Tot: maxTaskEnd(s.tasks), RStarDev: in.D.RStarDev, Chain: in.Chain}
+		if n > 1 {
+			out[k].PairMakespan = makespan
+		}
+		e := in.Deadline.check(in.Frame, out[k].Tau1, out[k].Tau2, out[k].Tot, s.maxFac, s.maxDur)
+		if e != nil && (derr == nil || (len(derr.Blamed) == 0 && len(e.Blamed) > 0)) {
+			derr = e
+		}
 	}
-	var stats rd.FrameStats
+	if derr != nil {
+		return nil, derr
+	}
+
 	if m.Mode == Functional {
-		stats = payloads.run(m.Parallel)
+		for k := range out {
+			out[k].Stats = m.slots[k].payloads.run(m.Parallel)
+			if out[k].Stats.Intra && k+1 < n {
+				// The frame scene-cut to intra inside R*: every chain was
+				// flushed, the later frames' references are gone and their
+				// payloads must not run.
+				out = out[:k+1]
+				err = ErrPairSceneCut
+				break
+			}
+		}
 	}
 
-	ft := FrameTiming{
-		Frame:    frame,
-		Tau1:     tau1.End,
-		Tau2:     tau2.End,
-		Tot:      makespan,
-		RStarDev: rstar,
-		Stats:    stats,
+	for k := range out {
+		s := &m.slots[k]
+		s.spans = s.spans[:0]
+		for _, t := range s.tasks {
+			s.spans = append(s.spans, TaskSpan{Resource: t.Res.Name, Label: t.Label, Start: t.Start, End: t.End})
+		}
+		out[k].Spans = s.spans
 	}
-	m.spans = m.spans[:0]
-	for _, t := range sim.Tasks() {
-		m.spans = append(m.spans, TaskSpan{
-			Resource: t.Res.Name, Label: t.Label, Start: t.Start, End: t.End,
-		})
-	}
-	ft.Spans = m.spans
 	if m.Check {
-		topo := sched.Topology{NumGPU: pl.NumGPUs(), Cores: pl.Cores, Down: m.Down}
-		m.chkSpans = m.chkSpans[:0]
-		for _, s := range ft.Spans {
-			m.chkSpans = append(m.chkSpans, check.Span{Resource: s.Resource, Label: s.Label, Start: s.Start, End: s.End})
-		}
-		cs := m.chkSpans
-		if err := check.Frame(topo, w, d, pm, cs, ft.Tau1, ft.Tau2, ft.Tot); err != nil {
-			var ce *check.Error
-			if !m.CheckObserve || !errors.As(err, &ce) {
-				return FrameTiming{}, fmt.Errorf("vcm: frame %d: %w", frame, err)
-			}
-			rules := make([]string, len(ce.Violations))
-			for i, v := range ce.Violations {
-				rules[i] = v.Rule
-			}
-			m.Telemetry.CheckViolations(frame, rules)
+		if cerr := m.runChecks(pm, frames, out); cerr != nil {
+			return nil, cerr
 		}
 	}
-	if m.Telemetry.Enabled() {
-		// The trace writer copies the spans it keeps, so the conversion
-		// scratch can be reused next frame.
-		m.telSpans = m.telSpans[:0]
-		for _, s := range ft.Spans {
-			m.telSpans = append(m.telSpans, telemetry.Span{Resource: s.Resource, Label: s.Label, Start: s.Start, End: s.End})
+	for k := range out {
+		s := &m.slots[k]
+		if m.Telemetry.Enabled() {
+			// The frames of a window share one simulated interval: all but
+			// the last advance the run offset by zero so they land on the
+			// same trace origin, and the last advances it by the makespan.
+			// The trace writer copies the spans it keeps, so the conversion
+			// scratch can be reused next call.
+			advance := 0.0
+			if k == n-1 {
+				advance = makespan
+			}
+			s.telSpans = s.telSpans[:0]
+			for _, sp := range s.spans {
+				s.telSpans = append(s.telSpans, telemetry.Span{Resource: sp.Resource, Label: sp.Label, Start: sp.Start, End: sp.End})
+			}
+			m.Telemetry.FrameSpans(out[k].Frame, m.Attempt, out[k].Tau1, out[k].Tau2, out[k].Tot, advance, s.telSpans)
 		}
-		m.Telemetry.FrameSpans(frame, m.Attempt, ft.Tau1, ft.Tau2, ft.Tot, m.telSpans)
+		m.observe(s, &frames[k], &out[k], pm)
 	}
+	return out, err
+}
 
-	// --- Performance Characterization update (Algorithm 1 lines 5/10). --
+// runChecks runs the per-frame schedule validator on each completed frame
+// plus the cross-frame rules when two completed.
+func (m *Manager) runChecks(pm *sched.PerfModel, frames []FrameInput, out []FrameTiming) error {
+	pl := m.Platform
+	topo := sched.Topology{NumGPU: pl.NumGPUs(), Cores: pl.Cores, Down: m.Down}
+	for k := range out {
+		s, in, ft := &m.slots[k], &frames[k], &out[k]
+		s.chkSpans = s.chkSpans[:0]
+		for _, sp := range s.spans {
+			s.chkSpans = append(s.chkSpans, check.Span{Resource: sp.Resource, Label: sp.Label, Start: sp.Start, End: sp.End})
+		}
+		if err := check.Frame(topo, in.W, in.D, pm, s.chkSpans, ft.Tau1, ft.Tau2, ft.Tot); err != nil {
+			if verr := m.reportCheck(in.Frame, err); verr != nil {
+				return verr
+			}
+		}
+	}
+	if len(out) < 2 {
+		return nil
+	}
+	a := check.PairExec{Frame: out[0].Frame, Chain: out[0].Chain, Spans: m.slots[0].chkSpans, Tot: out[0].Tot}
+	b := check.PairExec{Frame: out[1].Frame, Chain: out[1].Chain, Spans: m.slots[1].chkSpans, Tot: out[1].Tot}
+	if err := check.Pair(a, b); err != nil {
+		return m.reportCheck(b.Frame, err)
+	}
+	return nil
+}
+
+// reportCheck applies the CheckObserve policy to one validation error:
+// fatal by default, counted into telemetry in observe mode.
+func (m *Manager) reportCheck(frame int, err error) error {
+	var ce *check.Error
+	if !m.CheckObserve || !errors.As(err, &ce) {
+		return fmt.Errorf("vcm: frame %d: %w", frame, err)
+	}
+	rules := make([]string, len(ce.Violations))
+	for i, v := range ce.Violations {
+		rules[i] = v.Rule
+	}
+	m.Telemetry.CheckViolations(frame, rules)
+	return nil
+}
+
+// observe feeds one frame's executed tasks into the Performance
+// Characterization (Algorithm 1 lines 5/10).
+func (m *Manager) observe(s *frameSlot, in *FrameInput, ft *FrameTiming, pm *sched.PerfModel) {
+	rstar := in.D.RStarDev
 	var rstarTotal float64
-	for _, o := range m.obsBuf {
+	for _, o := range s.obsBuf {
 		dur := o.task.End - o.task.Start
 		if o.isTr {
 			pm.ObserveTransfer(o.dev, o.tr, o.rows, dur)
@@ -556,18 +749,17 @@ func (m *Manager) EncodeInterFrame(frame int, w device.Workload, d sched.Distrib
 			rstarTotal += dur
 			continue
 		}
-		pm.ObserveCompute(o.dev, o.mod, o.rows, w.UsableRF, dur)
+		pm.ObserveCompute(o.dev, o.mod, o.rows, in.W.UsableRF, dur)
 	}
 	if rstarTotal > 0 {
 		// For CPU-centric R* the wall time is the parallel section length,
 		// not the summed core time.
 		wall := rstarTotal
-		if !pl.IsGPU(rstar) {
+		if !m.Platform.IsGPU(rstar) {
 			wall = rstarTotal / float64(m.upCores())
 		}
 		pm.ObserveCompute(rstar, sched.ModRStar, 0, 1, wall)
 	}
-	return ft, nil
 }
 
 // upCores counts the CPU cores not marked down.
@@ -580,6 +772,18 @@ func (m *Manager) upCores() int {
 		}
 	}
 	return n
+}
+
+// maxTaskEnd returns the latest end time over one frame's tasks — its
+// τtot; for a window of one this is the schedule's makespan.
+func maxTaskEnd(tasks []*simclock.Task) float64 {
+	end := 0.0
+	for _, t := range tasks {
+		if t.End > end {
+			end = t.End
+		}
+	}
+	return end
 }
 
 func clamp0(v int) int {
