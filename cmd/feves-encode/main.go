@@ -26,10 +26,12 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 
 	"feves"
 	"feves/internal/h264"
 	"feves/internal/h264/codec"
+	"feves/internal/platforms"
 	"feves/internal/teleflag"
 	"feves/internal/video"
 )
@@ -47,7 +49,7 @@ func main() {
 		rf        = flag.Int("rf", 1, "reference frames")
 		iqp       = flag.Int("iqp", 27, "intra-frame QP")
 		pqp       = flag.Int("pqp", 28, "inter-frame QP")
-		platform  = flag.String("platform", "syshk", "platform: syshk sysnf sysnff cpun cpuh gpuf gpuk gput")
+		platform  = flag.String("platform", "syshk", "platform: "+strings.Join(platforms.Names(), " "))
 		balancer  = flag.String("balancer", "lp", "balancer: lp proportional equidistant me-offload")
 		entropy   = flag.String("entropy", "vlc", "residual entropy backend: vlc arith")
 		meAlgo    = flag.String("me", "full-search", "motion search: full-search three-step diamond")
@@ -78,7 +80,7 @@ func main() {
 		return
 	}
 
-	pl, err := lookupPlatform(*platform)
+	pl, err := feves.LookupPlatform(*platform)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -154,7 +156,13 @@ func main() {
 	}
 	fmt.Printf("encoding on %s (%v), SA %dx%d, %d RF\n", pl.Name(), pl.Devices(), *sa, *sa, *rf)
 	n := 0
-	printRep := func(rep feves.FrameReport) {
+	err = enc.EncodeSequence(func() ([]byte, error) {
+		frame, err := src.Next()
+		if err != nil {
+			return nil, err
+		}
+		return frame.PackedYUV(), nil
+	}, func(rep feves.FrameReport) {
 		switch {
 		case rep.Intra:
 			fmt.Printf("frame %3d I %8d bits  PSNR-Y %5.2f dB\n", rep.Frame, rep.Bits, rep.PSNRY)
@@ -166,49 +174,9 @@ func main() {
 				rep.Frame, rep.Bits, rep.PSNRY, rep.Seconds*1e3, rep.FPS, rep.MERows)
 		}
 		n++
-	}
-	// With -frame-parallel, frames are offered to the encoder in pairs; the
-	// encoder reports how many it consumed (one at intra boundaries, during
-	// model initialization, and after an in-pair scene cut) and the
-	// unconsumed frame is re-offered.
-	var pending []byte
-	for {
-		cur := pending
-		pending = nil
-		if cur == nil {
-			frame, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
-			cur = frame.PackedYUV()
-		}
-		if !*fparallel {
-			rep, err := enc.EncodeYUV(cur)
-			if err != nil {
-				log.Fatal(err)
-			}
-			printRep(rep)
-			continue
-		}
-		var next []byte
-		if frame, err := src.Next(); err == nil {
-			next = frame.PackedYUV()
-		} else if err != io.EOF {
-			log.Fatal(err)
-		}
-		reps, err := enc.EncodeYUVPair(cur, next)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, rep := range reps {
-			printRep(rep)
-		}
-		if len(reps) == 1 && next != nil {
-			pending = next
-		}
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	stream := enc.Bitstream()
 	fmt.Printf("%d frames, %d bytes coded\n", n, len(stream))
@@ -221,28 +189,6 @@ func main() {
 	if err := closeTelemetry(); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func lookupPlatform(name string) (*feves.Platform, error) {
-	switch name {
-	case "syshk":
-		return feves.SysHK(), nil
-	case "sysnf":
-		return feves.SysNF(), nil
-	case "sysnff":
-		return feves.SysNFF(), nil
-	case "cpun":
-		return feves.CPUNehalem(), nil
-	case "cpuh":
-		return feves.CPUHaswell(), nil
-	case "gpuf":
-		return feves.GPUFermi(), nil
-	case "gpuk":
-		return feves.GPUKepler(), nil
-	case "gput":
-		return feves.GPUTesla(), nil
-	}
-	return nil, fmt.Errorf("unknown platform %q", name)
 }
 
 // verifyStream decodes the bitstream file at path end to end and writes

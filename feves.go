@@ -29,10 +29,11 @@ import (
 
 	"feves/internal/core"
 	"feves/internal/device"
-	"feves/internal/h264"
 	"feves/internal/h264/codec"
 	"feves/internal/h264/me"
+	"feves/internal/platforms"
 	"feves/internal/sched"
+	"feves/internal/session"
 	"feves/internal/vcm"
 )
 
@@ -168,18 +169,7 @@ func (b BalancerKind) build(hysteresis float64) sched.Balancer {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SearchArea == 0 {
-		c.SearchArea = 32
-	}
-	if c.RefFrames == 0 {
-		c.RefFrames = 1
-	}
-	if c.IQP == 0 {
-		c.IQP = 27
-	}
-	if c.PQP == 0 {
-		c.PQP = 28
-	}
+	session.PaperDefaults(&c.SearchArea, &c.RefFrames, &c.IQP, &c.PQP)
 	return c
 }
 
@@ -188,7 +178,10 @@ func (c Config) codecConfig() (codec.Config, error) {
 	if c.ArithmeticCoding {
 		mode = codec.EntropyArith
 	}
-	chains := c.chains()
+	chains := 1
+	if c.FrameParallel {
+		chains = 2
+	}
 	var algo me.Algorithm
 	switch c.FastME {
 	case "", "full-search":
@@ -216,11 +209,36 @@ func (c Config) codecConfig() (codec.Config, error) {
 	}, nil
 }
 
-func (c Config) chains() int {
-	if c.FrameParallel {
-		return 2
+// options assembles the framework options every public surface hands the
+// session driver, the coding defaults applied; the caller supplies the
+// platform or the lease.
+func (c Config) options(mode vcm.Mode) (core.Options, error) {
+	cc, err := c.withDefaults().codecConfig()
+	if err != nil {
+		return core.Options{}, err
 	}
-	return 1
+	return core.Options{
+		Codec:           cc,
+		Mode:            mode,
+		Balancer:        c.Balancer.build(c.BalancerHysteresis),
+		Alpha:           c.Alpha,
+		Parallel:        c.Parallel,
+		Telemetry:       c.Observer.Sink().ForSession(c.SessionLabel),
+		CheckSchedules:  c.CheckSchedules,
+		DeadlineSlack:   c.DeadlineSlack,
+		MaxFrameRetries: c.MaxFrameRetries,
+		FrameParallel:   c.FrameParallel,
+	}, nil
+}
+
+// standalone starts a session that owns the whole platform for good.
+func (c Config) standalone(mode vcm.Mode, pl *Platform) (*session.Driver, error) {
+	opts, err := c.options(mode)
+	if err != nil {
+		return nil, err
+	}
+	opts.Platform = pl.inner
+	return session.New(opts, nil, session.Hooks{})
 }
 
 // Platform is a heterogeneous system description.
@@ -232,13 +250,7 @@ type Platform struct {
 func (p *Platform) Name() string { return p.inner.Name }
 
 // Devices returns the device names in scheduling order (GPUs first).
-func (p *Platform) Devices() []string {
-	out := make([]string, p.inner.NumDevices())
-	for i := range out {
-		out[i] = p.inner.Dev(i).Name
-	}
-	return out
-}
+func (p *Platform) Devices() []string { return p.inner.DeviceNames() }
 
 // Perturb installs a load-perturbation schedule: factor(frame, device) > 1
 // slows the device's kernels for that inter-frame (Fig. 7's non-dedicated
@@ -280,31 +292,42 @@ func SysHK() *Platform { return &Platform{device.SysHK()} }
 // SysNFK is a quad-core Nehalem CPU plus one Fermi and one Kepler GPU —
 // the serving experiments' pool platform (six devices: two fast GPUs to
 // lease out plus four cores to split among tenants).
-func SysNFK() *Platform {
-	return &Platform{&device.Platform{Name: "SysNFK",
-		GPUs:    []device.Profile{device.GPUFermi(), device.GPUKepler()},
-		CPUCore: device.CPUNehalemCore(), Cores: 4, Seed: 1}}
+func SysNFK() *Platform { return registered("sysnfk") }
+
+// LookupPlatform returns a fresh instance of a platform by the
+// case-insensitive name the command-line tools know it by.
+func LookupPlatform(name string) (*Platform, error) {
+	pl, err := platforms.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return &Platform{pl}, nil
+}
+
+// registered builds a platform this file knows the registry holds.
+func registered(name string) *Platform {
+	pl, err := LookupPlatform(name)
+	if err != nil {
+		panic(err) // only a name mistyped above can get here
+	}
+	return pl
 }
 
 // CPUNehalem is the quad-core CPU_N baseline.
-func CPUNehalem() *Platform {
-	return &Platform{device.CPUOnly("CPU_N", device.CPUNehalemCore(), 4)}
-}
+func CPUNehalem() *Platform { return registered("cpun") }
 
 // CPUHaswell is the quad-core CPU_H baseline.
-func CPUHaswell() *Platform {
-	return &Platform{device.CPUOnly("CPU_H", device.CPUHaswellCore(), 4)}
-}
+func CPUHaswell() *Platform { return registered("cpuh") }
 
 // GPUFermi is the single-GPU GPU_F baseline.
-func GPUFermi() *Platform { return &Platform{device.GPUOnly("GPU_F", device.GPUFermi())} }
+func GPUFermi() *Platform { return registered("gpuf") }
 
 // GPUKepler is the single-GPU GPU_K baseline.
-func GPUKepler() *Platform { return &Platform{device.GPUOnly("GPU_K", device.GPUKepler())} }
+func GPUKepler() *Platform { return registered("gpuk") }
 
 // GPUTesla is a Tesla-generation single-GPU platform — the oldest
 // architecture generation the paper's module library targets.
-func GPUTesla() *Platform { return &Platform{device.GPUOnly("GPU_T", device.GPUTesla())} }
+func GPUTesla() *Platform { return registered("gput") }
 
 // PaperAnchored returns a copy of the platform with the kernel
 // calibration undone on every device, restoring the Fig. 6 base profiles
@@ -397,18 +420,16 @@ type FrameReport struct {
 }
 
 func report(r core.Result) FrameReport {
-	fr := FrameReport{
-		Frame: r.FrameIndex,
-		// Intra is set when the framework scheduled an intra frame (first
-		// frame, IDR period) or when the encoder's scene-cut detector
-		// switched to intra coding mid-pipeline.
-		Intra:         r.Intra || r.Stats.Intra,
+	return FrameReport{
+		Frame:         r.FrameIndex,
+		Intra:         r.IsIntra(),
 		Attempt:       r.Attempt,
 		Chain:         r.Timing.Chain,
 		PairSeconds:   r.Timing.PairMakespan,
 		Seconds:       r.Timing.Tot,
 		Tau1:          r.Timing.Tau1,
 		Tau2:          r.Timing.Tau2,
+		FPS:           r.FPS(),
 		SchedOverhead: r.SchedOverhead,
 		// The distribution slices alias balancer-owned storage that is
 		// recycled a frame later; reports are long-lived API values, so
@@ -425,59 +446,32 @@ func report(r core.Result) FrameReport {
 		SMESeconds:       r.Timing.ModuleTime[sched.ModSME],
 		RStarSeconds:     r.Timing.ModuleTime[sched.ModRStar],
 	}
-	if fr.PairSeconds > 0 {
-		fr.FPS = 2 / fr.PairSeconds
-	} else if fr.Seconds > 0 {
-		fr.FPS = 1 / fr.Seconds
-	}
-	return fr
 }
 
+// encoding is the functional surface of a session: what an Encoder and a
+// pool encoder session both are.
+type encoding struct{ drv *session.Driver }
+
 // Encoder encodes a real video sequence collaboratively (Functional mode).
-type Encoder struct {
-	fw  *core.Framework
-	cfg Config
-}
+type Encoder struct{ encoding }
 
 // NewEncoder creates a functional encoder on the given platform.
 func NewEncoder(cfg Config, pl *Platform) (*Encoder, error) {
-	cfg = cfg.withDefaults()
-	cc, err := cfg.codecConfig()
+	drv, err := cfg.standalone(vcm.Functional, pl)
 	if err != nil {
 		return nil, err
 	}
-	fw, err := core.New(core.Options{
-		Platform:        pl.inner,
-		Codec:           cc,
-		Mode:            vcm.Functional,
-		Balancer:        cfg.Balancer.build(cfg.BalancerHysteresis),
-		Alpha:           cfg.Alpha,
-		Parallel:        cfg.Parallel,
-		Telemetry:       cfg.Observer.Sink().ForSession(cfg.SessionLabel),
-		CheckSchedules:  cfg.CheckSchedules,
-		DeadlineSlack:   cfg.DeadlineSlack,
-		MaxFrameRetries: cfg.MaxFrameRetries,
-		FrameParallel:   cfg.FrameParallel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Encoder{fw: fw, cfg: cfg}, nil
+	return &Encoder{encoding{drv}}, nil
 }
 
 // EncodeYUV encodes the next frame given as packed planar I420 bytes
 // (Y, Cb, Cr) of the configured dimensions.
-func (e *Encoder) EncodeYUV(yuv []byte) (FrameReport, error) {
-	f := h264.NewFrame(e.cfg.Width, e.cfg.Height)
-	f.Poc = e.fw.FramesProcessed()
-	if err := f.LoadYUV(yuv); err != nil {
-		return FrameReport{}, err
-	}
-	r, err := e.fw.EncodeNext(f)
+func (e encoding) EncodeYUV(yuv []byte) (FrameReport, error) {
+	rs, err := e.drv.Encode(yuv, nil)
 	if err != nil {
 		return FrameReport{}, err
 	}
-	return report(r), nil
+	return report(rs[0]), nil
 }
 
 // EncodeYUVPair offers the next two frames for joint frame-parallel
@@ -485,34 +479,33 @@ func (e *Encoder) EncodeYUV(yuv []byte) (FrameReport, error) {
 // the frames ran as a pair, one when the framework fell back to serial
 // encoding of the first frame (frame-parallel off, an intra boundary, the
 // model still initializing, or a scene cut inside the pair) — the caller
-// then re-offers the second frame's bytes. yuvB may be nil at end of
-// stream, which encodes yuvA serially.
-func (e *Encoder) EncodeYUVPair(yuvA, yuvB []byte) ([]FrameReport, error) {
-	fA := h264.NewFrame(e.cfg.Width, e.cfg.Height)
-	fA.Poc = e.fw.FramesProcessed()
-	if err := fA.LoadYUV(yuvA); err != nil {
-		return nil, err
-	}
-	var fB *h264.Frame
-	if yuvB != nil {
-		fB = h264.NewFrame(e.cfg.Width, e.cfg.Height)
-		fB.Poc = fA.Poc + 1
-		if err := fB.LoadYUV(yuvB); err != nil {
-			return nil, err
-		}
-	}
-	ra, rb, paired, err := e.fw.EncodePair(fA, fB)
+// then re-offers the second frame's bytes, or uses EncodeSequence, which
+// does so itself. yuvB may be nil at end of stream, which encodes yuvA
+// serially. A pool session absorbs lease changes at pair boundaries, so
+// both frames of a pair run on the same device subset.
+func (e encoding) EncodeYUVPair(yuvA, yuvB []byte) ([]FrameReport, error) {
+	rs, err := e.drv.Encode(yuvA, yuvB)
 	if err != nil {
 		return nil, err
 	}
-	if paired {
-		return []FrameReport{report(ra), report(rb)}, nil
+	out := make([]FrameReport, len(rs))
+	for i, r := range rs {
+		out[i] = report(r)
 	}
-	return []FrameReport{report(ra)}, nil
+	return out, nil
+}
+
+// EncodeSequence encodes a whole sequence: next yields each frame's packed
+// I420 bytes in display order and io.EOF after the last (any other error
+// ends the run with it), each receives every frame's report in display
+// order. With Config.FrameParallel frames run in pairs wherever the
+// framework can pair them.
+func (e encoding) EncodeSequence(next func() ([]byte, error), each func(FrameReport)) error {
+	return e.drv.Run(next, func(r core.Result) { each(report(r)) })
 }
 
 // Bitstream returns the coded stream so far.
-func (e *Encoder) Bitstream() []byte { return e.fw.Bitstream() }
+func (e encoding) Bitstream() []byte { return e.drv.Framework().Bitstream() }
 
 // Verify decodes a bitstream produced by an Encoder and returns the number
 // of frames it contains, erroring on any corruption — the end-to-end check
@@ -548,63 +541,37 @@ func decodeAll(stream []byte, conceal bool) (frames, concealed int, err error) {
 	}
 }
 
+// simulating is the timing-only surface of a session: what a Simulation
+// and a pool simulation session both are.
+type simulating struct{ drv *session.Driver }
+
 // Simulation runs the framework in timing-only mode.
-type Simulation struct {
-	fw *core.Framework
-	// buffered holds the second report of a frame-parallel pair until the
-	// next Step call, so Step keeps its one-report-per-frame contract.
-	buffered *FrameReport
-}
+type Simulation struct{ simulating }
 
 // NewSimulation creates a timing-only framework, typically at 1080p, to
 // reproduce the paper's performance experiments.
 func NewSimulation(cfg Config, pl *Platform) (*Simulation, error) {
-	cfg = cfg.withDefaults()
-	cc, err := cfg.codecConfig()
+	drv, err := cfg.standalone(vcm.TimingOnly, pl)
 	if err != nil {
 		return nil, err
 	}
-	fw, err := core.New(core.Options{
-		Platform:        pl.inner,
-		Codec:           cc,
-		Mode:            vcm.TimingOnly,
-		Balancer:        cfg.Balancer.build(cfg.BalancerHysteresis),
-		Alpha:           cfg.Alpha,
-		Telemetry:       cfg.Observer.Sink().ForSession(cfg.SessionLabel),
-		CheckSchedules:  cfg.CheckSchedules,
-		DeadlineSlack:   cfg.DeadlineSlack,
-		MaxFrameRetries: cfg.MaxFrameRetries,
-		FrameParallel:   cfg.FrameParallel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{fw: fw}, nil
+	return &Simulation{simulating{drv}}, nil
 }
 
 // Step simulates the next frame. With Config.FrameParallel the framework
 // advances two frames per joint schedule; Step still returns one report
-// per call, buffering the pair's second report for the next call.
-func (s *Simulation) Step() (FrameReport, error) {
-	if s.buffered != nil {
-		fr := *s.buffered
-		s.buffered = nil
-		return fr, nil
-	}
-	ra, rb, paired, err := s.fw.EncodePair(nil, nil)
+// per call, the pair's second report coming from the next call.
+func (s simulating) Step() (FrameReport, error) {
+	r, err := s.drv.Step()
 	if err != nil {
 		return FrameReport{}, err
 	}
-	if paired {
-		frB := report(rb)
-		s.buffered = &frB
-	}
-	return report(ra), nil
+	return report(r), nil
 }
 
 // Run simulates n frames (including the initial intra frame) and returns
 // their reports.
-func (s *Simulation) Run(n int) ([]FrameReport, error) {
+func (s simulating) Run(n int) ([]FrameReport, error) {
 	out := make([]FrameReport, 0, n)
 	for i := 0; i < n; i++ {
 		r, err := s.Step()

@@ -1,8 +1,10 @@
 package feves
 
 import (
+	"reflect"
 	"testing"
 
+	"feves/internal/platforms"
 	"feves/internal/video"
 )
 
@@ -430,4 +432,38 @@ func TestVerifyConcealing(t *testing.T) {
 		}
 	}
 	t.Skip("no byte flip produced a concealable corruption in this stream")
+}
+
+// TestLookupPlatformCoversRegistry looks every registered name up through
+// the public API — including sysnfk and sysnt, which feves-encode's own
+// switch used to miss — and checks the named constructors are the same
+// platforms, so the CLI names and the Go API cannot drift apart.
+func TestLookupPlatformCoversRegistry(t *testing.T) {
+	constructors := map[string]func() *Platform{
+		"syshk": SysHK, "sysnf": SysNF, "sysnff": SysNFF, "sysnfk": SysNFK,
+		"cpun": CPUNehalem, "cpuh": CPUHaswell,
+		"gpuf": GPUFermi, "gpuk": GPUKepler, "gput": GPUTesla,
+	}
+	names := platforms.Names()
+	if len(names) < len(constructors)+1 {
+		t.Fatalf("registry lists %v, want every constructor plus sysnt", names)
+	}
+	for _, name := range names {
+		pl, err := LookupPlatform(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := NewSimulation(Config{Width: 640, Height: 368}, pl); err != nil {
+			t.Errorf("%s: not a usable platform: %v", name, err)
+		}
+		if mk, ok := constructors[name]; ok {
+			if want := mk(); pl.Name() != want.Name() || !reflect.DeepEqual(pl.Devices(), want.Devices()) {
+				t.Errorf("%s: lookup gives %s %v, constructor %s %v",
+					name, pl.Name(), pl.Devices(), want.Name(), want.Devices())
+			}
+		}
+	}
+	if _, err := LookupPlatform("cray"); err == nil {
+		t.Error("unknown platform name accepted")
+	}
 }

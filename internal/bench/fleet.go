@@ -6,13 +6,9 @@ import (
 	"time"
 
 	"feves"
-	"feves/internal/core"
 	"feves/internal/fleet"
-	"feves/internal/h264"
-	"feves/internal/h264/codec"
 	"feves/internal/platforms"
 	"feves/internal/serve"
-	"feves/internal/vcm"
 	"feves/internal/video"
 )
 
@@ -165,32 +161,18 @@ func fleetDeathSpec() (fleet.StreamSpec, int) {
 // fleetDeathReference encodes the stream on one whole sysnfk platform —
 // the single-node baseline every sharded run must match byte for byte.
 func fleetDeathReference(spec fleet.StreamSpec) []byte {
-	pl, err := platforms.Lookup("sysnfk")
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	fw, err := core.New(core.Options{
-		Platform: pl,
-		Codec: codec.Config{Width: spec.Width, Height: spec.Height,
-			SearchRange: 16, NumRF: 1, IQP: 27, PQP: 28,
-			IntraPeriod: spec.IntraPeriod},
-		Mode: vcm.Functional,
-	})
+	enc, err := feves.NewEncoder(feves.Config{Width: spec.Width, Height: spec.Height,
+		IntraPeriod: spec.IntraPeriod}, feves.SysNFK())
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	fb := spec.Width * spec.Height * 3 / 2
 	for i := 0; i*fb < len(spec.YUV); i++ {
-		cf := h264.NewFrame(spec.Width, spec.Height)
-		cf.Poc = i
-		if err := cf.LoadYUV(spec.YUV[i*fb : (i+1)*fb]); err != nil {
-			panic(fmt.Sprintf("bench: %v", err))
-		}
-		if _, err := fw.EncodeNext(cf); err != nil {
+		if _, err := enc.EncodeYUV(spec.YUV[i*fb : (i+1)*fb]); err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
 		}
 	}
-	return fw.Bitstream()
+	return enc.Bitstream()
 }
 
 // FleetDeath measures V7's second half: what a mid-stream node death

@@ -94,11 +94,15 @@ func Perf() PerfReport {
 		step()
 	}
 	statsBefore := fw.SolverStats()
-	var overhead time.Duration
+	var overhead, worst time.Duration
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	for i := 0; i < perfFrames; i++ {
-		overhead += step().SchedOverhead
+		o := step().SchedOverhead
+		overhead += o
+		if o > worst {
+			worst = o
+		}
 	}
 	runtime.ReadMemStats(&ms1)
 	st := fw.SolverStats()
@@ -145,6 +149,10 @@ func Perf() PerfReport {
 		add("lp_pivots_per_solve", float64(st.Pivots-statsBefore.Pivots)/float64(solves), "pivots", "lower", 1)
 	}
 	add("sched_overhead_us", float64(overhead.Microseconds())/perfFrames, "us/frame", "info", 0)
+	// The worst sample is reported here, against the paper's 2000 µs bound,
+	// rather than asserted in tier-1: one descheduling on a loaded host
+	// moves it without saying anything about the scheduler.
+	add("sched_overhead_worst_us", float64(worst.Microseconds()), "us", "info", 0)
 
 	perfFleet(add)
 	perfFleetShed(add)

@@ -87,6 +87,7 @@ func TestPerfReportMetrics(t *testing.T) {
 		"lp_warm_rate":               "higher",
 		"lp_pivots_per_solve":        "lower",
 		"sched_overhead_us":          "info",
+		"sched_overhead_worst_us":    "info",
 		"fleet_lp_route_rate":        "higher",
 		"fleet_lp_warm_rate":         "higher",
 		"fleet_submit_us":            "info",

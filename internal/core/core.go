@@ -62,9 +62,8 @@ type Options struct {
 	// on the reduced topology. Zero (the default) disables enforcement
 	// entirely — the frame loop is byte-identical to the slack-free code.
 	DeadlineSlack float64
-	// MaxFrameRetries bounds the failover retries of one frame (default 3
-	// — first strike, exclusion strike, and the run on the reduced
-	// topology). Ignored while DeadlineSlack is zero.
+	// MaxFrameRetries bounds the failover retries of one frame (default
+	// DefaultMaxFrameRetries). Ignored while DeadlineSlack is zero.
 	MaxFrameRetries int
 	// OnDeviceExcluded, when non-nil, is invoked synchronously (between
 	// retry attempts, on the encoding goroutine) each time the health
@@ -98,6 +97,11 @@ type Options struct {
 // rather than the pre-calibration 1e5.
 const stallTaskBudget = 2e4
 
+// DefaultMaxFrameRetries is the failover bound a zero MaxFrameRetries
+// selects: first strike, exclusion strike, and the run on the reduced
+// topology.
+const DefaultMaxFrameRetries = 3
+
 // Result reports one processed frame.
 type Result struct {
 	FrameIndex int // 0-based display index
@@ -117,6 +121,24 @@ type Result struct {
 	SchedOverhead time.Duration
 	// Stats is the functional coding outcome (zero in TimingOnly mode).
 	Stats rd.FrameStats
+}
+
+// IsIntra reports whether the frame was coded intra: scheduled so (first
+// frame, IDR period) or switched by the encoder's scene-cut detector
+// mid-pipeline.
+func (r Result) IsIntra() bool { return r.Intra || r.Stats.Intra }
+
+// FPS is the simulated throughput the frame ran at: two frames per pair
+// makespan when it was scheduled jointly with a partner, one per τtot
+// otherwise, 0 for intra frames (which run outside the balanced loop).
+func (r Result) FPS() float64 {
+	switch {
+	case r.Timing.PairMakespan > 0:
+		return 2 / r.Timing.PairMakespan
+	case r.Timing.Tot > 0:
+		return 1 / r.Timing.Tot
+	}
+	return 0
 }
 
 // Framework is the paper's Framework Control: it owns the performance
@@ -170,7 +192,7 @@ func New(opts Options) (*Framework, error) {
 	}
 	topo := sched.Topology{NumGPU: opts.Platform.NumGPUs(), Cores: opts.Platform.Cores}
 	if opts.MaxFrameRetries <= 0 {
-		opts.MaxFrameRetries = 3
+		opts.MaxFrameRetries = DefaultMaxFrameRetries
 	}
 	if opts.FrameParallel && opts.Codec.Chains != 2 {
 		return nil, fmt.Errorf("core: FrameParallel needs Codec.Chains = 2, have %d", opts.Codec.Chains)
@@ -317,23 +339,31 @@ func (f *Framework) chainOf(interIdx int) int {
 	return f.interOffset(interIdx) % f.chains()
 }
 
+// Workload is the standing per-frame demand of a coding configuration —
+// frame geometry in macroblocks, search area, reference count with every
+// reference usable. The pool partitioner and the fleet router weigh
+// sessions by it; the framework ramps UsableRF per frame.
+func Workload(cc codec.Config) device.Workload {
+	return device.Workload{
+		MBW:      cc.Width / h264.MBSize,
+		MBH:      cc.Height / h264.MBSize,
+		SA:       2 * cc.SearchRange,
+		NumRF:    cc.NumRF,
+		UsableRF: cc.NumRF,
+	}
+}
+
 // workload derives the frame's workload parameters; the usable reference
 // count ramps up over the first NumRF inter-frames *on the frame's chain*
 // after each intra frame (Fig. 7(b)): with two chains the odd and even
 // frames ramp their DPBs independently, each half as fast in display
 // order.
 func (f *Framework) workload(interIdx int) device.Workload {
-	usable := 1 + f.interOffset(interIdx)/f.chains()
-	if usable > f.opts.Codec.NumRF {
-		usable = f.opts.Codec.NumRF
+	w := Workload(f.opts.Codec)
+	if usable := 1 + f.interOffset(interIdx)/f.chains(); usable < w.UsableRF {
+		w.UsableRF = usable
 	}
-	return device.Workload{
-		MBW:      f.opts.Codec.Width / h264.MBSize,
-		MBH:      f.opts.Codec.Height / h264.MBSize,
-		SA:       2 * f.opts.Codec.SearchRange,
-		NumRF:    f.opts.Codec.NumRF,
-		UsableRF: usable,
-	}
+	return w
 }
 
 // isIntra reports whether display index i opens a GOP: the first frame of

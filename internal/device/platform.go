@@ -84,6 +84,19 @@ func (pl *Platform) Dev(i int) Profile {
 	return pl.CPUCore
 }
 
+// DeviceNames lists the device names in scheduling order (GPUs first);
+// none for the nil platform of an orphaned lease.
+func (pl *Platform) DeviceNames() []string {
+	if pl == nil {
+		return nil
+	}
+	out := make([]string, pl.NumDevices())
+	for i := range out {
+		out[i] = pl.Dev(i).Name
+	}
+	return out
+}
+
 // IsGPU reports whether device i is an accelerator.
 func (pl *Platform) IsGPU(i int) bool { return i < len(pl.GPUs) }
 

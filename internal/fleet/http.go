@@ -1,12 +1,8 @@
 package fleet
 
 import (
-	"encoding/json"
-	"errors"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
-	"strings"
 
 	"feves/internal/serve"
 )
@@ -48,47 +44,17 @@ func (f *Fleet) Handler() http.Handler {
 	mux.HandleFunc("DELETE /streams/{id}", f.handleStreamCancel)
 	mux.HandleFunc("GET /streams/{id}/bitstream", f.handleStreamBitstream)
 	mux.HandleFunc("GET /healthz", f.handleHealth)
-	if f.tel != nil && f.tel.Metrics != nil {
-		mux.Handle("GET /metrics", f.tel.Metrics.Handler())
-	}
 	mux.HandleFunc("GET /debug/state", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.State())
+		serve.WriteJSON(w, http.StatusOK, f.State())
 	})
-	mux.HandleFunc("GET /debug/flight", f.handleDebugFlight)
-	mux.HandleFunc("GET /debug/trace", f.handleDebugTrace)
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	serve.MountDebug(mux, f.tel)
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// writeAdmissionError maps coordinator admission failures onto the same
-// semantics as a single node's: 503 + Retry-After for backpressure and
-// drain, 400 for malformed specs.
+// writeAdmissionError answers as a single node would, ErrNoNodes — the
+// fleet between nodes — counting as busy.
 func (f *Fleet) writeAdmissionError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, serve.ErrBusy), errors.Is(err, serve.ErrDraining), errors.Is(err, ErrNoNodes):
-		// Only a draining fleet merits the long drain-horizon hint. Other
-		// retryable failures — a full queue, or ErrNoNodes while the fleet
-		// is between nodes — get the busy path's shorter backlog estimate.
-		w.Header().Set("Retry-After",
-			strconv.Itoa(serve.RetryAfterSeconds(f.Backlog(), errors.Is(err, serve.ErrDraining))))
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		writeError(w, http.StatusBadRequest, err.Error())
-	}
+	serve.WriteAdmissionError(w, err, f.Backlog(), ErrNoNodes)
 }
 
 // fleetJobStatus wraps a node-local job status with its node label.
@@ -99,8 +65,7 @@ type fleetJobStatus struct {
 
 func (f *Fleet) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var spec serve.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !serve.DecodeSpec(w, r, &spec) {
 		return
 	}
 	ref, err := f.Submit(spec)
@@ -108,7 +73,7 @@ func (f *Fleet) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		f.writeAdmissionError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, fleetJobStatus{Node: ref.Node, JobStatus: ref.Job.Status()})
+	serve.WriteJSON(w, http.StatusAccepted, fleetJobStatus{Node: ref.Node, JobStatus: ref.Job.Status()})
 }
 
 func (f *Fleet) handleListJobs(w http.ResponseWriter, r *http.Request) {
@@ -117,14 +82,14 @@ func (f *Fleet) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	for i, ref := range refs {
 		out[i] = fleetJobStatus{Node: ref.Node, JobStatus: ref.Job.Status()}
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 func (f *Fleet) jobRef(w http.ResponseWriter, r *http.Request) (JobRef, bool) {
 	node, id := r.PathValue("node"), r.PathValue("id")
 	ref, ok := f.Job(node, id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job "+node+"/"+id)
+		serve.WriteError(w, http.StatusNotFound, "unknown job "+node+"/"+id)
 		return JobRef{}, false
 	}
 	return ref, true
@@ -132,7 +97,7 @@ func (f *Fleet) jobRef(w http.ResponseWriter, r *http.Request) (JobRef, bool) {
 
 func (f *Fleet) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	if ref, ok := f.jobRef(w, r); ok {
-		writeJSON(w, http.StatusOK, fleetJobStatus{Node: ref.Node, JobStatus: ref.Job.Status()})
+		serve.WriteJSON(w, http.StatusOK, fleetJobStatus{Node: ref.Node, JobStatus: ref.Job.Status()})
 	}
 }
 
@@ -142,67 +107,27 @@ func (f *Fleet) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ref.Job.Cancel()
-	writeJSON(w, http.StatusOK, fleetJobStatus{Node: ref.Node, JobStatus: ref.Job.Status()})
+	serve.WriteJSON(w, http.StatusOK, fleetJobStatus{Node: ref.Node, JobStatus: ref.Job.Status()})
 }
 
-// handleJobResults streams per-frame results as JSONL, mirroring the
-// node-local endpoint so clients need not care where the job landed.
+// handleJobResults streams per-frame results as JSONL through the
+// node-local streamer, so clients need not care where the job landed.
 func (f *Fleet) handleJobResults(w http.ResponseWriter, r *http.Request) {
-	ref, ok := f.jobRef(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	n := 0
-	for {
-		results, done := ref.Job.Next(n)
-		for _, fr := range results {
-			if enc.Encode(fr) != nil {
-				return
-			}
-		}
-		n += len(results)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if done {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		default:
-		}
+	if ref, ok := f.jobRef(w, r); ok {
+		serve.StreamResults(w, r, ref.Job)
 	}
 }
 
 func (f *Fleet) handleJobBitstream(w http.ResponseWriter, r *http.Request) {
-	ref, ok := f.jobRef(w, r)
-	if !ok {
-		return
+	if ref, ok := f.jobRef(w, r); ok {
+		st := ref.Job.Status()
+		serve.WriteBitstream(w, "job", st.Mode, st.Status, ref.Job.Bitstream)
 	}
-	st := ref.Job.Status()
-	if st.Mode != serve.ModeEncode {
-		writeError(w, http.StatusBadRequest, "job is not an encode job")
-		return
-	}
-	if st.Status != serve.StatusDone {
-		writeError(w, http.StatusConflict,
-			"bitstream not available: job is "+strings.ToLower(string(st.Status)))
-		return
-	}
-	w.Header().Set("Content-Type", "video/h264")
-	w.WriteHeader(http.StatusOK)
-	w.Write(ref.Job.Bitstream())
 }
 
 func (f *Fleet) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 	var spec StreamSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !serve.DecodeSpec(w, r, &spec) {
 		return
 	}
 	st, err := f.SubmitStream(spec)
@@ -210,7 +135,7 @@ func (f *Fleet) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 		f.writeAdmissionError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st.Status())
+	serve.WriteJSON(w, http.StatusAccepted, st.Status())
 }
 
 func (f *Fleet) handleListStreams(w http.ResponseWriter, r *http.Request) {
@@ -219,14 +144,14 @@ func (f *Fleet) handleListStreams(w http.ResponseWriter, r *http.Request) {
 	for i, st := range streams {
 		out[i] = st.Status()
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 func (f *Fleet) stream(w http.ResponseWriter, r *http.Request) (*Stream, bool) {
 	id := r.PathValue("id")
 	st, ok := f.Stream(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown stream "+id)
+		serve.WriteError(w, http.StatusNotFound, "unknown stream "+id)
 		return nil, false
 	}
 	return st, true
@@ -234,7 +159,7 @@ func (f *Fleet) stream(w http.ResponseWriter, r *http.Request) (*Stream, bool) {
 
 func (f *Fleet) handleStreamStatus(w http.ResponseWriter, r *http.Request) {
 	if st, ok := f.stream(w, r); ok {
-		writeJSON(w, http.StatusOK, st.Status())
+		serve.WriteJSON(w, http.StatusOK, st.Status())
 	}
 }
 
@@ -244,33 +169,20 @@ func (f *Fleet) handleStreamCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st.Cancel()
-	writeJSON(w, http.StatusOK, st.Status())
+	serve.WriteJSON(w, http.StatusOK, st.Status())
 }
 
 func (f *Fleet) handleStreamBitstream(w http.ResponseWriter, r *http.Request) {
-	st, ok := f.stream(w, r)
-	if !ok {
-		return
+	if st, ok := f.stream(w, r); ok {
+		doc := st.Status()
+		serve.WriteBitstream(w, "stream", doc.Mode, doc.Status, st.Bitstream)
 	}
-	doc := st.Status()
-	if doc.Mode != serve.ModeEncode {
-		writeError(w, http.StatusBadRequest, "stream is not an encode stream")
-		return
-	}
-	if doc.Status != serve.StatusDone {
-		writeError(w, http.StatusConflict,
-			"bitstream not available: stream is "+strings.ToLower(string(doc.Status)))
-		return
-	}
-	w.Header().Set("Content-Type", "video/h264")
-	w.WriteHeader(http.StatusOK)
-	w.Write(st.Bitstream())
 }
 
 func (f *Fleet) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if f.Draining() {
 		w.Header().Set("Retry-After", strconv.Itoa(serve.RetryAfterSeconds(f.Backlog(), true)))
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		serve.WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	f.mu.Lock()
@@ -278,30 +190,10 @@ func (f *Fleet) handleHealth(w http.ResponseWriter, r *http.Request) {
 	total := len(f.nodes)
 	clock := f.clock
 	f.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	serve.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"status": "ok",
 		"nodes":  total,
 		"alive":  alive,
 		"clock":  clock,
 	})
-}
-
-func (f *Fleet) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
-	if f.tel == nil || f.tel.Flight == nil {
-		writeError(w, http.StatusNotFound, "flight recorder not enabled")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = f.tel.Flight.WriteDoc(w)
-}
-
-func (f *Fleet) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if f.tel == nil || f.tel.Trace == nil {
-		writeError(w, http.StatusNotFound, "trace writer not enabled")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = f.tel.Trace.Export(w)
 }

@@ -285,3 +285,39 @@ func TestHTTPAdmissionHintsBusyVsDraining(t *testing.T) {
 		t.Fatalf("hint floors inverted: busy %d, draining %d", busy, drain)
 	}
 }
+
+// repeat is an endless reader of one byte value.
+type repeat byte
+
+func (b repeat) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestHTTPSubmitBodiesBounded posts a spec whose body runs past
+// serve.MaxSpecBytes to both submission endpoints: the coordinator must
+// stop reading at the bound, answer 413 with a JSON error, and route
+// nothing.
+func TestHTTPSubmitBodiesBounded(t *testing.T) {
+	f, _ := testFleetServer(t, 2)
+	for _, path := range []string{"/jobs", "/streams"} {
+		t.Run(path, func(t *testing.T) {
+			body := io.MultiReader(strings.NewReader(`{"mode":"encode","name":"`),
+				io.LimitReader(repeat('a'), serve.MaxSpecBytes))
+			rec := httptest.NewRecorder()
+			f.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("oversized POST %s = %d, want 413", path, rec.Code)
+			}
+			var doc map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || !strings.Contains(doc["error"], "exceeds") {
+				t.Fatalf("413 body is not the JSON error document: %q (%v)", rec.Body.String(), err)
+			}
+		})
+	}
+	if len(f.Jobs()) != 0 || len(f.Streams()) != 0 {
+		t.Fatal("an oversized submission was admitted")
+	}
+}

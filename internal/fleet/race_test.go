@@ -6,6 +6,7 @@
 package fleet
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -15,12 +16,13 @@ import (
 )
 
 func TestChurnNodesDieAndJoinWhileStreaming(t *testing.T) {
+	const deathTick, missLimit = 6, 2
 	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Flight: telemetry.NewFlightRecorder(0)}
 	f, err := New(Config{
 		Nodes:     testNodes(t, 3, "sysnfk"),
 		Telemetry: tel,
-		MissLimit: 2,
-		Deaths:    "die:node1@6",
+		MissLimit: missLimit,
+		Deaths:    fmt.Sprintf("die:node1@%d", deathTick),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +96,12 @@ func TestChurnNodesDieAndJoinWhileStreaming(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	clockWG.Wait()
+	// A fast host drains the work before the clock reaches the scheduled
+	// death; keep ticking until the death tick plus the miss limit has
+	// passed, so the declaration asserted below cannot depend on host speed.
+	for f.Clock() < deathTick+missLimit {
+		f.Tick()
+	}
 
 	for i, st := range streams {
 		if st == nil {

@@ -65,13 +65,8 @@ func (sp StreamSpec) jobSpec(r ShardRange, shardIdx int) serve.JobSpec {
 }
 
 func (sp StreamSpec) frameCount() int {
-	if sp.Mode == serve.ModeEncode {
-		if fb := sp.Width * sp.Height * 3 / 2; fb > 0 {
-			return len(sp.YUV) / fb
-		}
-		return 0
-	}
-	return sp.Frames
+	return serve.JobSpec{Mode: sp.Mode, Width: sp.Width, Height: sp.Height,
+		Frames: sp.Frames, YUV: sp.YUV}.FrameCount()
 }
 
 // shard is one GOP run of a stream and its placement history.

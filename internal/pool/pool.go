@@ -161,8 +161,8 @@ type DeviceState struct {
 
 // LeaseState describes one active lease for introspection.
 type LeaseState struct {
-	ID      int   `json:"id"`
-	Devices []int `json:"devices"`
+	ID      int    `json:"id"`
+	Devices []int  `json:"devices"`
 	Epoch   uint64 `json:"epoch"`
 	// PredTau is the partitioner's equalized τtot estimate; +Inf (rendered
 	// as orphaned=true) when device loss left the lease without devices.
@@ -306,6 +306,10 @@ func (p *Pool) repartition() {
 
 // ID returns the lease's session identifier (unique within the pool).
 func (l *Lease) ID() int { return l.id }
+
+// Pool returns the pool the lease belongs to — where a session reports the
+// devices it lost (MarkDown).
+func (l *Lease) Pool() *Pool { return l.pool }
 
 // Devices returns the currently leased device indices of the parent
 // platform, sorted ascending.

@@ -7,6 +7,8 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+
+	"feves/internal/telemetry"
 )
 
 // Handler returns the service's HTTP API:
@@ -36,78 +38,108 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/results", s.handleResults)
 	mux.HandleFunc("GET /jobs/{id}/bitstream", s.handleBitstream)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	if s.cfg.Telemetry != nil && s.cfg.Telemetry.Metrics != nil {
-		mux.Handle("GET /metrics", s.cfg.Telemetry.Metrics.Handler())
+	mux.HandleFunc("GET /debug/state", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, s.State())
+	})
+	MountDebug(mux, s.cfg.Telemetry)
+	return mux
+}
+
+// MountDebug mounts the telemetry endpoints every HTTP surface shares:
+// /metrics (when tel has a registry), /debug/flight (the flight recorder's
+// frame ring, incident ring and captured post-mortem bundles),
+// /debug/trace (a Perfetto snapshot of the live trace ring — load it
+// straight into ui.perfetto.dev) and the net/http/pprof profiles. A sink
+// without a flight recorder or trace writer answers 404 there.
+func MountDebug(mux *http.ServeMux, tel *telemetry.Telemetry) {
+	if tel != nil && tel.Metrics != nil {
+		mux.Handle("GET /metrics", tel.Metrics.Handler())
 	}
-	mux.HandleFunc("GET /debug/state", s.handleDebugState)
-	mux.HandleFunc("GET /debug/flight", s.handleDebugFlight)
-	mux.HandleFunc("GET /debug/trace", s.handleDebugTrace)
+	mux.HandleFunc("GET /debug/flight", func(w http.ResponseWriter, r *http.Request) {
+		if tel == nil || tel.Flight == nil {
+			WriteError(w, http.StatusNotFound, "flight recorder not enabled")
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_ = tel.Flight.WriteDoc(w) // a failed write means the client left
+	})
+	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
+		if tel == nil || tel.Trace == nil {
+			WriteError(w, http.StatusNotFound, "trace writer not enabled")
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_ = tel.Trace.Export(w) // a failed write means the client left
+	})
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
-// handleDebugState serves the live introspection document: pool topology
-// and leases, per-session device health, queue depth and drain status.
-func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.State())
-}
-
-// handleDebugFlight serves the flight recorder: the current frame ring,
-// the incident ring, and every captured post-mortem bundle.
-func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Telemetry == nil || s.cfg.Telemetry.Flight == nil {
-		writeError(w, http.StatusNotFound, "flight recorder not enabled")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = s.cfg.Telemetry.Flight.WriteDoc(w)
-}
-
-// handleDebugTrace snapshots the live Perfetto ring without shutting the
-// service down — load the response straight into ui.perfetto.dev.
-func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Telemetry == nil || s.cfg.Telemetry.Trace == nil {
-		writeError(w, http.StatusNotFound, "trace writer not enabled")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = s.cfg.Telemetry.Trace.Export(w)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+// WriteJSON answers with v as a JSON document.
+func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+// WriteError answers with a JSON {"error": msg} document.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
+}
+
+// MaxSpecBytes bounds the body of a submitted job or stream spec. Specs
+// carry their YUV input inline (base64), so the bound is what keeps one
+// request from exhausting the server's memory: 64 MiB holds about
+// thirty-five 720p frames. Longer inputs are split by the client.
+const MaxSpecBytes = 64 << 20
+
+// DecodeSpec reads a submitted JSON spec of at most MaxSpecBytes into v. On
+// failure it has answered — 413 for an oversized body, 400 for malformed
+// JSON — and returns false.
+func DecodeSpec(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		WriteError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds "+strconv.Itoa(MaxSpecBytes)+" bytes")
+	case err != nil:
+		WriteError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	}
+	return err == nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !DecodeSpec(w, r, &spec) {
 		return
 	}
 	job, err := s.Submit(spec)
-	switch {
-	case errors.Is(err, ErrBusy), errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After",
-			strconv.Itoa(s.retryAfterSeconds(errors.Is(err, ErrDraining))))
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err != nil {
+		WriteAdmissionError(w, err, s.Backlog())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job.Status())
+	WriteJSON(w, http.StatusAccepted, job.Status())
+}
+
+// WriteAdmissionError answers a failed submission: 503 with a Retry-After
+// derived from the backlog for ErrBusy, ErrDraining (only it gets the long
+// drain-horizon hint) and any of also, 400 for the rest — malformed specs.
+func WriteAdmissionError(w http.ResponseWriter, err error, backlog int, also ...error) {
+	for _, retryable := range append(also, ErrBusy, ErrDraining) {
+		if errors.Is(err, retryable) {
+			w.Header().Set("Retry-After",
+				strconv.Itoa(RetryAfterSeconds(backlog, errors.Is(err, ErrDraining))))
+			WriteError(w, http.StatusServiceUnavailable, err.Error())
+			return
+		}
+	}
+	WriteError(w, http.StatusBadRequest, err.Error())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -116,14 +148,14 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for i, j := range jobs {
 		out[i] = j.Status()
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	id := r.PathValue("id")
 	job, ok := s.Job(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job "+id)
+		WriteError(w, http.StatusNotFound, "unknown job "+id)
 		return nil, false
 	}
 	return job, true
@@ -131,7 +163,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if job, ok := s.job(w, r); ok {
-		writeJSON(w, http.StatusOK, job.Status())
+		WriteJSON(w, http.StatusOK, job.Status())
 	}
 }
 
@@ -141,18 +173,20 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job.Cancel()
-	writeJSON(w, http.StatusOK, job.Status())
+	WriteJSON(w, http.StatusOK, job.Status())
 }
 
-// handleResults streams the job's per-frame results as JSONL, one
-// FrameResult per line, flushing after each line so tenants can follow a
+func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
+	if job, ok := s.job(w, r); ok {
+		StreamResults(w, r, job)
+	}
+}
+
+// StreamResults streams the job's per-frame results as JSONL, one
+// FrameResult per line, flushing after each batch so tenants can follow a
 // running session live. The stream ends when the job reaches a terminal
 // state or the client disconnects.
-func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(w, r)
-	if !ok {
-		return
-	}
+func StreamResults(w http.ResponseWriter, r *http.Request, job *Job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -181,32 +215,37 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBitstream(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(w, r)
-	if !ok {
+	if job, ok := s.job(w, r); ok {
+		st := job.Status()
+		WriteBitstream(w, "job", st.Mode, st.Status, job.Bitstream)
+	}
+}
+
+// WriteBitstream answers a bitstream request for a job or stream (kind
+// names which in the error text) of the given mode and state: 400 unless
+// it encodes, 409 until it is done, then the coded stream.
+func WriteBitstream(w http.ResponseWriter, kind, mode string, st Status, bitstream func() []byte) {
+	if mode != ModeEncode {
+		WriteError(w, http.StatusBadRequest, kind+" is not an encode "+kind)
 		return
 	}
-	st := job.Status()
-	if st.Mode != ModeEncode {
-		writeError(w, http.StatusBadRequest, "job is not an encode job")
-		return
-	}
-	if st.Status != StatusDone {
-		writeError(w, http.StatusConflict,
-			"bitstream not available: job is "+strings.ToLower(string(st.Status)))
+	if st != StatusDone {
+		WriteError(w, http.StatusConflict,
+			"bitstream not available: "+kind+" is "+strings.ToLower(string(st)))
 		return
 	}
 	w.Header().Set("Content-Type", "video/h264")
 	w.WriteHeader(http.StatusOK)
-	w.Write(job.Bitstream())
+	w.Write(bitstream())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(true)))
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(s.Backlog(), true)))
+		WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"status":   "ok",
 		"sessions": s.pool.Sessions(),
 		"capacity": s.pool.Capacity(),
@@ -254,9 +293,4 @@ func RetryAfterSeconds(ahead int, draining bool) int {
 		secs = 300
 	}
 	return secs
-}
-
-// retryAfterSeconds derives the hint from this server's own backlog.
-func (s *Server) retryAfterSeconds(draining bool) int {
-	return RetryAfterSeconds(s.Backlog(), draining)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -321,5 +322,36 @@ func TestHTTPCancel(t *testing.T) {
 			t.Fatal("job did not reach a terminal state")
 		case <-time.After(5 * time.Millisecond):
 		}
+	}
+}
+
+// repeat is an endless reader of one byte value.
+type repeat byte
+
+func (b repeat) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestHTTPSubmitBodyBounded posts a spec whose body runs past MaxSpecBytes
+// (of unknown length, as a chunked upload would be): the handler must stop
+// reading at the bound and answer 413 with a JSON error.
+func TestHTTPSubmitBodyBounded(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	body := io.MultiReader(strings.NewReader(`{"mode":"encode","name":"`),
+		io.LimitReader(repeat('a'), MaxSpecBytes))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /jobs = %d, want 413", rec.Code)
+	}
+	var doc map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || !strings.Contains(doc["error"], "exceeds") {
+		t.Fatalf("413 body is not the JSON error document: %q (%v)", rec.Body.String(), err)
+	}
+	if len(s.Jobs()) != 0 {
+		t.Fatal("an oversized submission was admitted")
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"sync"
 	"time"
 
+	"feves/internal/core"
 	"feves/internal/device"
 	"feves/internal/h264"
 	"feves/internal/h264/codec"
+	"feves/internal/session"
 )
 
 // Mode names the two job kinds.
@@ -64,18 +66,7 @@ type JobSpec struct {
 }
 
 func (sp JobSpec) withDefaults() JobSpec {
-	if sp.SearchArea == 0 {
-		sp.SearchArea = 32
-	}
-	if sp.RefFrames == 0 {
-		sp.RefFrames = 1
-	}
-	if sp.IQP == 0 {
-		sp.IQP = 27
-	}
-	if sp.PQP == 0 {
-		sp.PQP = 28
-	}
+	session.PaperDefaults(&sp.SearchArea, &sp.RefFrames, &sp.IQP, &sp.PQP)
 	return sp
 }
 
@@ -152,13 +143,7 @@ func (sp JobSpec) CodecConfig() codec.Config {
 
 // Workload is the standing demand handed to the pool partitioner, the
 // optional parameters defaulted.
-func (sp JobSpec) Workload() device.Workload {
-	sp = sp.withDefaults()
-	return device.Workload{
-		MBW: sp.Width / h264.MBSize, MBH: sp.Height / h264.MBSize,
-		SA: sp.SearchArea, NumRF: sp.RefFrames, UsableRF: sp.RefFrames,
-	}
-}
+func (sp JobSpec) Workload() device.Workload { return core.Workload(sp.CodecConfig()) }
 
 // Status is a job's lifecycle state.
 type Status string

@@ -12,14 +12,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
 
 	"feves/internal/core"
 	"feves/internal/device"
-	"feves/internal/h264"
 	"feves/internal/pool"
+	"feves/internal/session"
 	"feves/internal/telemetry"
 	"feves/internal/vcm"
 )
@@ -305,195 +306,78 @@ func (s *Server) run(job *Job, lease *pool.Lease) {
 		"status", string(st)).Inc()
 }
 
-// runSession drives the framework frame by frame, re-targeting the
-// platform when the pool re-partitioned and honouring cancellation
-// between frames. Every telemetry record of the session carries the job
-// id as its causal session label (minted at submission), so events,
-// metrics, trace lanes and flight-recorder entries attribute to the
-// tenant.
+// runSession runs the job on the shared session driver, which re-targets
+// the platform when the pool re-partitioned and fails over through the
+// pool; what stays here is the job's: cancellation between windows, the
+// per-frame result stream and the serve-named metrics. Every telemetry
+// record of the session carries the job id as its causal session label
+// (minted at submission), so events, metrics, trace lanes and
+// flight-recorder entries attribute to the tenant.
 func (s *Server) runSession(job *Job, lease *pool.Lease) (Status, string, []byte) {
 	spec := job.spec
-	pl, epoch := lease.Snapshot()
-	if pl == nil {
-		return StatusFailed, "lease orphaned: no devices available", nil
-	}
 	mode := vcm.TimingOnly
 	if spec.Mode == ModeEncode {
 		mode = vcm.Functional
 	}
-	tel := s.cfg.Telemetry.ForSession(job.id)
-	// pendingFailover marks that this session pushed a device out of the
-	// pool; the post-mortem bundle is captured once the failover completes
-	// — when the session picks up its re-partitioned lease below — so the
-	// bundle contains the re-lease incident too.
-	curFrame, pendingFailover := spec.FrameBase, false
-	opts := core.Options{
-		Platform:        pl,
+	drv, err := session.New(core.Options{
 		Codec:           spec.CodecConfig(),
 		Mode:            mode,
-		Telemetry:       tel,
+		Telemetry:       s.cfg.Telemetry.ForSession(job.id),
 		CheckSchedules:  s.cfg.CheckSchedules,
 		CheckObserve:    true,
 		DeadlineSlack:   s.cfg.DeadlineSlack,
 		MaxFrameRetries: s.cfg.MaxFrameRetries,
 		FrameParallel:   spec.FrameParallel,
 		FrameBase:       spec.FrameBase,
-	}
-	if s.cfg.DeadlineSlack > 0 {
-		// When this session's framework excludes a device, report the loss
-		// to the pool under the parent platform's numbering so every tenant
-		// re-partitions away from it at the next frame boundary. pl tracks
-		// the lease's current subplatform: the callback fires synchronously
-		// inside EncodeNext, after any SetPlatform re-target below.
-		opts.OnDeviceExcluded = func(dev int) {
-			parent := dev
-			if pl.BaseIndex != nil && dev < len(pl.BaseIndex) {
-				parent = pl.BaseIndex[dev]
-			}
-			if s.pool.MarkDown(parent) {
-				pendingFailover = true
-				tel.Incident("device_down", curFrame, parent,
-					fmt.Sprintf("pool removed device %d (%s) after session exclusion", parent, s.cfg.Platform.Dev(parent).Name))
-				s.metric("feves_serve_devices_lost_total",
-					"Devices removed from the pool after a session excluded them.").Inc()
-			}
-		}
-	}
-	fw, err := core.New(opts)
+	}, lease, session.Hooks{
+		DeviceLost: func() {
+			s.metric("feves_serve_devices_lost_total",
+				"Devices removed from the pool after a session excluded them.").Inc()
+		},
+		Repartitioned: func() {
+			s.metric("feves_serve_repartitions_total",
+				"Lease changes picked up by sessions at frame boundaries.").Inc()
+		},
+	})
 	if err != nil {
 		return StatusFailed, err.Error(), nil
 	}
-	s.trackSession(job, lease, fw)
+	s.trackSession(job, lease, drv.Framework())
 	defer s.untrackSession(job.id)
-	job.start(deviceNames(pl))
+	job.start(drv.Devices())
 
-	frames := spec.FrameCount()
-	fb := spec.frameBytes()
-	maxRetries := s.cfg.MaxFrameRetries
-	if maxRetries <= 0 {
-		maxRetries = 3
+	i, frames, fb := 0, spec.FrameCount(), spec.frameBytes()
+	err = drv.Run(func() (yuv []byte, err error) {
+		switch {
+		case job.ctx.Err() != nil:
+			return nil, job.ctx.Err()
+		case i == frames:
+			return nil, io.EOF
+		case mode == vcm.Functional:
+			yuv = spec.YUV[i*fb : (i+1)*fb]
+		}
+		i++
+		return yuv, nil
+	}, func(r core.Result) {
+		job.appendResult(FrameResult{
+			Frame: r.FrameIndex, Attempt: r.Attempt, Intra: r.IsIntra(),
+			Chain:            r.Timing.Chain,
+			Seconds:          r.Timing.Tot,
+			PairSeconds:      r.Timing.PairMakespan,
+			FPS:              r.FPS(),
+			PredictedSeconds: r.Distribution.PredTot,
+			SchedOverhead:    r.SchedOverhead.Seconds(),
+			Bits:             r.Stats.Bits, PSNRY: r.Stats.PSNRY,
+			Devices: drv.Devices(),
+		})
+	})
+	switch {
+	case errors.Is(err, context.Canceled):
+		return StatusCanceled, "canceled", nil
+	case err != nil:
+		return StatusFailed, err.Error(), nil
 	}
-	retries := 0
-	for i := 0; i < frames; i++ {
-		curFrame = spec.FrameBase + i
-		if job.ctx.Err() != nil {
-			return StatusCanceled, "canceled", nil
-		}
-		if sub, e := lease.Snapshot(); e != epoch {
-			if sub == nil {
-				return StatusFailed, "lease orphaned: device loss left no devices for this session", nil
-			}
-			if err := fw.SetPlatform(sub); err != nil {
-				return StatusFailed, err.Error(), nil
-			}
-			pl, epoch = sub, e
-			tel.Incident("re_lease", curFrame, -1,
-				fmt.Sprintf("picked up epoch %d: %v", e, deviceNames(sub)))
-			if pendingFailover {
-				pendingFailover = false
-				tel.CaptureBundle("pool_failover", curFrame,
-					fmt.Sprintf("failover complete: session re-leased onto %v at epoch %d", deviceNames(sub), e))
-			}
-			s.metric("feves_serve_repartitions_total",
-				"Lease changes picked up by sessions at frame boundaries.").Inc()
-		}
-		var cf, cf2 *h264.Frame
-		if spec.Mode == ModeEncode {
-			cf = h264.NewFrame(spec.Width, spec.Height)
-			cf.Poc = spec.FrameBase + i
-			if err := cf.LoadYUV(spec.YUV[i*fb : (i+1)*fb]); err != nil {
-				return StatusFailed, err.Error(), nil
-			}
-			if spec.FrameParallel && i+1 < frames {
-				cf2 = h264.NewFrame(spec.Width, spec.Height)
-				cf2.Poc = spec.FrameBase + i + 1
-				if err := cf2.LoadYUV(spec.YUV[(i+1)*fb : (i+2)*fb]); err != nil {
-					return StatusFailed, err.Error(), nil
-				}
-			}
-		}
-		// A frame-parallel session consumes up to two frames per iteration;
-		// the framework falls back to a serial frame at intra boundaries,
-		// during model initialization, and after an in-pair scene cut, in
-		// which case the second frame is re-offered next iteration. Lease
-		// changes are absorbed at group boundaries, so both frames of a
-		// pair always run on the same device subset.
-		var results [2]core.Result
-		n := 1
-		var err error
-		if spec.FrameParallel {
-			var paired bool
-			results[0], results[1], paired, err = fw.EncodePair(cf, cf2)
-			if paired {
-				n = 2
-			}
-		} else {
-			results[0], err = fw.EncodeNext(cf)
-		}
-		if err != nil {
-			// A session whose lease is a single device cannot fail over by
-			// itself (the health tracker never excludes the last device).
-			// Report the blamed devices to the pool so every tenant
-			// re-partitions away from them, and — if the pool actually
-			// removed one — replay the frame on the session's re-lease: the
-			// deadline trips before any kernel mutates encoder state, so
-			// the replay is bit-exact.
-			var de *vcm.DeadlineError
-			if s.cfg.DeadlineSlack > 0 && errors.As(err, &de) {
-				lost := false
-				for _, dev := range de.Blamed {
-					parent := dev
-					if pl.BaseIndex != nil && dev < len(pl.BaseIndex) {
-						parent = pl.BaseIndex[dev]
-					}
-					if s.pool.MarkDown(parent) {
-						lost = true
-						pendingFailover = true
-						tel.Incident("device_down", curFrame, parent,
-							fmt.Sprintf("pool removed device %d (%s): %s", parent, s.cfg.Platform.Dev(parent).Name, de.Error()))
-						s.metric("feves_serve_devices_lost_total",
-							"Devices removed from the pool after a session excluded them.").Inc()
-					}
-				}
-				if lost && retries < maxRetries {
-					retries++
-					i--
-					continue
-				}
-			}
-			if pendingFailover {
-				// The session is failing before it could pick up a re-lease;
-				// capture what we have.
-				tel.CaptureBundle("session_failed", curFrame, err.Error())
-			}
-			return StatusFailed, err.Error(), nil
-		}
-		retries = 0
-		for k := 0; k < n; k++ {
-			r := results[k]
-			fr := FrameResult{
-				Frame: r.FrameIndex, Attempt: r.Attempt, Intra: r.Intra || r.Stats.Intra,
-				Chain:            r.Timing.Chain,
-				Seconds:          r.Timing.Tot,
-				PairSeconds:      r.Timing.PairMakespan,
-				PredictedSeconds: r.Distribution.PredTot,
-				SchedOverhead:    r.SchedOverhead.Seconds(),
-				Bits:             r.Stats.Bits, PSNRY: r.Stats.PSNRY,
-				Devices: deviceNames(pl),
-			}
-			if fr.PairSeconds > 0 {
-				fr.FPS = 2 / fr.PairSeconds
-			} else if fr.Seconds > 0 {
-				fr.FPS = 1 / fr.Seconds
-			}
-			job.appendResult(fr)
-		}
-		i += n - 1
-	}
-	if spec.Mode == ModeEncode {
-		return StatusDone, "", fw.Bitstream()
-	}
-	return StatusDone, "", nil
+	return StatusDone, "", drv.Framework().Bitstream()
 }
 
 // sessionRef tracks one running session for live introspection.
@@ -579,14 +463,6 @@ func (s *Server) State() State {
 		st.Sessions = append(st.Sessions, ss)
 	}
 	return st
-}
-
-func deviceNames(pl *device.Platform) []string {
-	out := make([]string, pl.NumDevices())
-	for i := range out {
-		out[i] = pl.Dev(i).Name
-	}
-	return out
 }
 
 // WaitAll blocks until every currently accepted job is terminal or the

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"feves/internal/core"
-	"feves/internal/device"
-	"feves/internal/h264"
 	"feves/internal/pool"
+	"feves/internal/session"
 	"feves/internal/vcm"
 )
 
@@ -37,21 +36,15 @@ func (p *Pool) Capacity() int { return p.p.Capacity() }
 // Sessions returns the number of live sessions.
 func (p *Pool) Sessions() int { return p.p.Sessions() }
 
-// Session is one tenant of a Pool: a framework bound to the session's
-// current device lease. A Session is not safe for concurrent use; run
-// each session on its own goroutine.
+// Session is one tenant of a Pool: a session driver bound to the session's
+// device lease, stepped like a Simulation or fed like an Encoder according
+// to how it joined (the other kind of call is an error, as is any call
+// after Close). A Session is not safe for concurrent use; run each session
+// on its own goroutine.
 type Session struct {
-	pool   *Pool
-	lease  *pool.Lease
-	fw     *core.Framework
-	cfg    Config
-	mode   vcm.Mode
-	epoch  uint64
-	closed bool
-	repart int
-	// buffered holds the second report of a frame-parallel pair until the
-	// next Step call (simulation sessions only).
-	buffered *FrameReport
+	encoding
+	simulating
+	lease *pool.Lease
 }
 
 // NewSimulationSession joins the pool with a timing-only session.
@@ -65,174 +58,42 @@ func (p *Pool) NewEncoderSession(cfg Config) (*Session, error) {
 }
 
 func (p *Pool) newSession(cfg Config, mode vcm.Mode) (*Session, error) {
-	cfg = cfg.withDefaults()
-	cc, err := cfg.codecConfig()
+	opts, err := cfg.options(mode)
 	if err != nil {
 		return nil, err
 	}
-	w := device.Workload{
-		MBW: cfg.Width / h264.MBSize, MBH: cfg.Height / h264.MBSize,
-		SA: cfg.SearchArea, NumRF: cfg.RefFrames, UsableRF: cfg.RefFrames,
-	}
-	lease, err := p.p.Acquire(w)
+	lease, err := p.p.Acquire(core.Workload(opts.Codec))
 	if err != nil {
 		return nil, err
 	}
-	// Every tenant gets its own telemetry scope: the session label rides on
-	// each event, metric sample and trace slice, and the Perfetto timeline
-	// grows one process lane per tenant.
-	label := cfg.SessionLabel
-	if label == "" {
-		label = fmt.Sprintf("session-%d", lease.ID())
+	if cfg.SessionLabel == "" {
+		// Every tenant gets its own telemetry scope: the session label rides
+		// on each event, metric sample and trace slice, and the Perfetto
+		// timeline grows one process lane per tenant.
+		opts.Telemetry = cfg.Observer.Sink().ForSession(fmt.Sprintf("session-%d", lease.ID()))
 	}
-	sub, epoch := lease.Snapshot()
-	fw, err := core.New(core.Options{
-		Platform:       sub,
-		Codec:          cc,
-		Mode:           mode,
-		Balancer:       cfg.Balancer.build(cfg.BalancerHysteresis),
-		Alpha:          cfg.Alpha,
-		Parallel:       cfg.Parallel,
-		Telemetry:      cfg.Observer.Sink().ForSession(label),
-		CheckSchedules: cfg.CheckSchedules,
-		FrameParallel:  cfg.FrameParallel,
-	})
+	drv, err := session.New(opts, lease, session.Hooks{})
 	if err != nil {
 		lease.Release()
 		return nil, err
 	}
-	return &Session{pool: p, lease: lease, fw: fw, cfg: cfg, mode: mode, epoch: epoch}, nil
+	return &Session{encoding{drv}, simulating{drv}, lease}, nil
 }
-
-// maybeReplatform re-targets the framework when the pool re-partitioned
-// since the last frame.
-func (s *Session) maybeReplatform() error {
-	sub, epoch := s.lease.Snapshot()
-	if epoch == s.epoch {
-		return nil
-	}
-	if err := s.fw.SetPlatform(sub); err != nil {
-		return err
-	}
-	s.epoch = epoch
-	s.repart++
-	return nil
-}
-
-// Step simulates the next frame on the session's current lease
-// (simulation sessions only).
-func (s *Session) Step() (FrameReport, error) {
-	if s.closed {
-		return FrameReport{}, fmt.Errorf("feves: session closed")
-	}
-	if s.mode != vcm.TimingOnly {
-		return FrameReport{}, fmt.Errorf("feves: Step on an encoder session (use EncodeYUV)")
-	}
-	if s.buffered != nil {
-		fr := *s.buffered
-		s.buffered = nil
-		return fr, nil
-	}
-	if err := s.maybeReplatform(); err != nil {
-		return FrameReport{}, err
-	}
-	ra, rb, paired, err := s.fw.EncodePair(nil, nil)
-	if err != nil {
-		return FrameReport{}, err
-	}
-	if paired {
-		frB := report(rb)
-		s.buffered = &frB
-	}
-	return report(ra), nil
-}
-
-// EncodeYUV encodes the next packed I420 frame on the session's current
-// lease (encoder sessions only).
-func (s *Session) EncodeYUV(yuv []byte) (FrameReport, error) {
-	if s.closed {
-		return FrameReport{}, fmt.Errorf("feves: session closed")
-	}
-	if s.mode != vcm.Functional {
-		return FrameReport{}, fmt.Errorf("feves: EncodeYUV on a simulation session (use Step)")
-	}
-	if err := s.maybeReplatform(); err != nil {
-		return FrameReport{}, err
-	}
-	f := h264.NewFrame(s.cfg.Width, s.cfg.Height)
-	f.Poc = s.fw.FramesProcessed()
-	if err := f.LoadYUV(yuv); err != nil {
-		return FrameReport{}, err
-	}
-	r, err := s.fw.EncodeNext(f)
-	if err != nil {
-		return FrameReport{}, err
-	}
-	return report(r), nil
-}
-
-// EncodeYUVPair offers the next two packed I420 frames for joint
-// frame-parallel encoding on the session's current lease. Like
-// Encoder.EncodeYUVPair it returns one report per frame consumed; lease
-// changes are absorbed at pair boundaries, so both frames of a pair run
-// on the same device subset.
-func (s *Session) EncodeYUVPair(yuvA, yuvB []byte) ([]FrameReport, error) {
-	if s.closed {
-		return nil, fmt.Errorf("feves: session closed")
-	}
-	if s.mode != vcm.Functional {
-		return nil, fmt.Errorf("feves: EncodeYUVPair on a simulation session (use Step)")
-	}
-	if err := s.maybeReplatform(); err != nil {
-		return nil, err
-	}
-	fA := h264.NewFrame(s.cfg.Width, s.cfg.Height)
-	fA.Poc = s.fw.FramesProcessed()
-	if err := fA.LoadYUV(yuvA); err != nil {
-		return nil, err
-	}
-	var fB *h264.Frame
-	if yuvB != nil {
-		fB = h264.NewFrame(s.cfg.Width, s.cfg.Height)
-		fB.Poc = fA.Poc + 1
-		if err := fB.LoadYUV(yuvB); err != nil {
-			return nil, err
-		}
-	}
-	ra, rb, paired, err := s.fw.EncodePair(fA, fB)
-	if err != nil {
-		return nil, err
-	}
-	if paired {
-		return []FrameReport{report(ra), report(rb)}, nil
-	}
-	return []FrameReport{report(ra)}, nil
-}
-
-// Bitstream returns an encoder session's coded stream so far.
-func (s *Session) Bitstream() []byte { return s.fw.Bitstream() }
 
 // Devices names the devices of the session's current lease (in the
 // lease's scheduling order, GPUs first).
 func (s *Session) Devices() []string {
 	sub, _ := s.lease.Snapshot()
-	out := make([]string, sub.NumDevices())
-	for i := range out {
-		out[i] = sub.Dev(i).Name
-	}
-	return out
+	return sub.DeviceNames()
 }
 
 // Repartitions returns how many lease changes the session has absorbed
 // at frame boundaries.
-func (s *Session) Repartitions() int { return s.repart }
+func (s *Session) Repartitions() int { return s.encoding.drv.Repartitions() }
 
 // Close releases the session's lease back to the pool, re-partitioning
 // the freed devices among the remaining sessions. Idempotent.
 func (s *Session) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
+	s.encoding.drv.Close()
 	s.lease.Release()
 }

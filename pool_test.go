@@ -308,3 +308,81 @@ func TestPoolModeMisuse(t *testing.T) {
 		t.Fatal("Step accepted on a closed session")
 	}
 }
+
+// TestPoolSessionsFailOverThroughThePool kills a leased GPU under two pool
+// tenants with the deadline slack armed: pool sessions honour
+// Config.DeadlineSlack exactly as serve sessions do, so the dead device
+// leaves the pool, both tenants re-lease around it and finish, and the
+// encoder tenant's stream equals its solo encode with no frame dropped.
+func TestPoolSessionsFailOverThroughThePool(t *testing.T) {
+	const w, h, frames = 320, 176, 12
+	// SA 64 keeps every leased device loaded, so the dead GPU cannot hide
+	// behind an idle assignment (see failoverEncode).
+	cfg := Config{Width: w, Height: h, SearchArea: 64, DeadlineSlack: 3}
+	yuv := poolYUV(w, h, frames)
+	fb := w * h * 3 / 2
+
+	solo, err := NewEncoder(cfg, SysNFK())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		if _, err := solo.EncodeYUV(yuv[i*fb : (i+1)*fb]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	pl := SysNFK()
+	if err := pl.InjectFaults("die:GPU_F@4"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPool(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := p.NewEncoderSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enc.Close()
+	sim, err := p.NewSimulationSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	for i := 0; i < frames; i++ {
+		rep, err := enc.EncodeYUV(yuv[i*fb : (i+1)*fb])
+		if err != nil {
+			t.Fatalf("encoder tenant, frame %d: %v", i, err)
+		}
+		if rep.Frame != i {
+			t.Fatalf("encoder tenant reported frame %d at input %d — a frame was dropped", rep.Frame, i)
+		}
+		srep, err := sim.Step()
+		if err != nil {
+			t.Fatalf("simulation tenant, frame %d: %v", i, err)
+		}
+		// A dead device multiplies kernel times by 1e9; a sane τtot past the
+		// fault frame means the tenant is off it.
+		if i > 6 && (rep.Seconds > 1 || srep.Seconds > 1) {
+			t.Fatalf("frame %d still ran on the dead GPU: τtot %v / %v s", i, rep.Seconds, srep.Seconds)
+		}
+	}
+	if !bytes.Equal(enc.Bitstream(), solo.Bitstream()) {
+		t.Errorf("encoder tenant's stream differs from its solo encode (%d vs %d bytes)",
+			len(enc.Bitstream()), len(solo.Bitstream()))
+	}
+	if n, err := Verify(enc.Bitstream()); err != nil || n != frames {
+		t.Errorf("encoder tenant's stream decodes to %d frames (%v), want %d", n, err, frames)
+	}
+	if up := p.p.UpDevices(); up != 5 {
+		t.Errorf("pool has %d devices up, want 5 after GPU_F died", up)
+	}
+	for _, s := range []*Session{enc, sim} {
+		for _, d := range s.Devices() {
+			if d == "GPU_F" {
+				t.Errorf("a tenant still leases the dead GPU_F: %v", s.Devices())
+			}
+		}
+	}
+}
