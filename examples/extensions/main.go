@@ -1,7 +1,6 @@
 // Extensions beyond the paper: arithmetic entropy coding, rate control,
-// scene-cut adaptive IDR, fast motion estimation and parallel kernel
-// execution — all composable through the public configuration, all
-// producing verifiable bitstreams.
+// scene-cut adaptive IDR and fast motion estimation — all composable
+// through the public configuration, all producing verifiable bitstreams.
 package main
 
 import (
@@ -43,7 +42,6 @@ func main() {
 		SceneCutThreshold:  12,   // adaptive IDR at the splice
 		Checksum:           true, // per-frame CRC-32 trailers
 		FastME:             "diamond",
-		Parallel:           true, // concurrent kernels, bit-exact
 	}
 	enc, err := feves.NewEncoder(cfg, feves.SysHK())
 	if err != nil {

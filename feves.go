@@ -83,10 +83,6 @@ type Config struct {
 	// prediction fails frame-wide (mean motion-compensated cost per pixel
 	// above the threshold). 0 disables; typical values 5–15.
 	SceneCutThreshold float64
-	// Parallel runs the functional encoding kernels of disjoint row
-	// ranges on concurrent goroutines. Output is bit-exact either way;
-	// this only uses the host machine's cores for the real computation.
-	Parallel bool
 	// Slices splits each frame into independently decodable horizontal
 	// slices (prediction isolation; separate arithmetic chunks). 0/1 =
 	// whole-frame coding.
@@ -222,7 +218,6 @@ func (c Config) options(mode vcm.Mode) (core.Options, error) {
 		Mode:            mode,
 		Balancer:        c.Balancer.build(c.BalancerHysteresis),
 		Alpha:           c.Alpha,
-		Parallel:        c.Parallel,
 		Telemetry:       c.Observer.Sink().ForSession(c.SessionLabel),
 		CheckSchedules:  c.CheckSchedules,
 		DeadlineSlack:   c.DeadlineSlack,

@@ -262,28 +262,6 @@ func TestRateControlOption(t *testing.T) {
 	}
 }
 
-func TestParallelOptionBitExact(t *testing.T) {
-	const w, h, n = 64, 48, 4
-	src := video.NewSynthetic(w, h, n, 88)
-	run := func(parallel bool) []byte {
-		cfg := Config{Width: w, Height: h, SearchArea: 16, Parallel: parallel}
-		enc, err := NewEncoder(cfg, SysNFF())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if _, err := enc.EncodeYUV(src.FrameAt(i).PackedYUV()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return enc.Bitstream()
-	}
-	a, b := run(false), run(true)
-	if string(a) != string(b) {
-		t.Fatal("Parallel changed the bitstream")
-	}
-}
-
 func TestPredictionAccuracyConverges(t *testing.T) {
 	// The performance characterization's τtot predictions track the
 	// simulated reality within a modest band once converged.

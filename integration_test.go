@@ -232,7 +232,6 @@ func TestFunctionalSoak(t *testing.T) {
 		Checksum:           true,
 		IntraPeriod:        10,
 		TargetBitsPerFrame: 30000,
-		Parallel:           true,
 	}
 	enc, err := feves.NewEncoder(cfg, feves.SysNFF())
 	if err != nil {

@@ -250,81 +250,75 @@ func syntheticYUV(w, h, frames int) []byte {
 	return buf.Bytes()
 }
 
-// FleetShed measures V8: what an alive-but-backlogged node costs under
-// the capacity-only router vs the queue-aware one. node0 takes three
-// heavy 1080p simulations submitted directly to its server (two session
-// slots, so one queues and later arrivals wait behind it) — load the
-// coordinator never routed and the capacity-only view cannot see. Eight
-// 30-frame probe jobs then arrive through the coordinator; the table
-// reports where they landed, the shed count, aggregate probe throughput
-// and the worst (p99) probe latency.
+// FleetShed measures V8: how the queue-aware router treats an
+// alive-but-backlogged node. node0 takes three heavy 1080p simulations
+// submitted directly to its server (two session slots, so one queues and
+// later arrivals wait behind it) — load the coordinator never routed.
+// Eight 30-frame probe jobs then arrive through the coordinator; the table
+// reports where they landed, the shed count (placements that avoided the
+// node a capacity-only argmin would have picked), aggregate probe
+// throughput and the worst (p99) probe latency.
 func FleetShed() Table {
 	t := Table{
 		Title:   "V8: routing around a deep-queued node (8 x 30-frame 1080p probes, 2 SysNFK nodes)",
 		Columns: []string{"router", "probes on deep node", "shed", "aggregate fps", "p99 latency [ms]"},
 	}
-	for _, capOnly := range []bool{true, false} {
-		nodes := fleetNodes(2)
-		nodes[0].MaxSessions = 2
-		f, err := fleet.New(fleet.Config{Nodes: nodes, CapacityOnly: capOnly, MissLimit: 1 << 20})
+	nodes := fleetNodes(2)
+	nodes[0].MaxSessions = 2
+	f, err := fleet.New(fleet.Config{Nodes: nodes, MissLimit: 1 << 20})
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	defer f.Close()
+	srv0, ok := f.Node("node0")
+	if !ok {
+		panic("bench: node0 unknown")
+	}
+	deep := make([]*serve.Job, 0, 3)
+	for i := 0; i < 3; i++ {
+		j, err := srv0.Submit(serve.JobSpec{
+			Mode: serve.ModeSimulate, Width: 1920, Height: 1088, Frames: 3000,
+		})
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
 		}
-		srv0, ok := f.Node("node0")
-		if !ok {
-			panic("bench: node0 unknown")
-		}
-		deep := make([]*serve.Job, 0, 3)
-		for i := 0; i < 3; i++ {
-			j, err := srv0.Submit(serve.JobSpec{
-				Mode: serve.ModeSimulate, Width: 1920, Height: 1088, Frames: 3000,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("bench: %v", err))
-			}
-			deep = append(deep, j)
-		}
-		const probes, probeFrames = 8, 30
-		refs := make([]fleet.JobRef, 0, probes)
-		starts := make([]time.Time, 0, probes)
-		batchStart := time.Now()
-		for i := 0; i < probes; i++ {
-			ref, err := f.Submit(serve.JobSpec{
-				Mode: serve.ModeSimulate, Width: 1920, Height: 1088, Frames: probeFrames,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("bench: %v", err))
-			}
-			refs = append(refs, ref)
-			starts = append(starts, time.Now())
-		}
-		onDeep := 0
-		var worst time.Duration
-		for i, ref := range refs {
-			ref.Job.Wait()
-			if lat := time.Since(starts[i]); lat > worst {
-				worst = lat
-			}
-			if ref.Node == "node0" {
-				onDeep++
-			}
-		}
-		batch := time.Since(batchStart).Seconds()
-		name := "queue-aware"
-		if capOnly {
-			name = "capacity-only"
-		}
-		t.Rows = append(t.Rows, []string{
-			name,
-			fmt.Sprintf("%d/%d", onDeep, probes),
-			fmt.Sprintf("%d", f.State().Shed),
-			fmt.Sprintf("%.1f", float64(probes*probeFrames)/batch),
-			fmt.Sprintf("%.0f", float64(worst.Milliseconds())),
+		deep = append(deep, j)
+	}
+	const probes, probeFrames = 8, 30
+	refs := make([]fleet.JobRef, 0, probes)
+	starts := make([]time.Time, 0, probes)
+	batchStart := time.Now()
+	for i := 0; i < probes; i++ {
+		ref, err := f.Submit(serve.JobSpec{
+			Mode: serve.ModeSimulate, Width: 1920, Height: 1088, Frames: probeFrames,
 		})
-		for _, j := range deep {
-			j.Cancel()
+		if err != nil {
+			panic(fmt.Sprintf("bench: %v", err))
 		}
-		f.Close()
+		refs = append(refs, ref)
+		starts = append(starts, time.Now())
+	}
+	onDeep := 0
+	var worst time.Duration
+	for i, ref := range refs {
+		ref.Job.Wait()
+		if lat := time.Since(starts[i]); lat > worst {
+			worst = lat
+		}
+		if ref.Node == "node0" {
+			onDeep++
+		}
+	}
+	batch := time.Since(batchStart).Seconds()
+	t.Rows = append(t.Rows, []string{
+		"queue-aware",
+		fmt.Sprintf("%d/%d", onDeep, probes),
+		fmt.Sprintf("%d", f.State().Shed),
+		fmt.Sprintf("%.1f", float64(probes*probeFrames)/batch),
+		fmt.Sprintf("%.0f", float64(worst.Milliseconds())),
+	})
+	for _, j := range deep {
+		j.Cancel()
 	}
 	return t
 }

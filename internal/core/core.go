@@ -38,9 +38,6 @@ type Options struct {
 	// Alpha is the EWMA weight of the Performance Characterization
 	// (default 0.8; 1 reproduces the paper's last-measurement behaviour).
 	Alpha float64
-	// Parallel executes functional kernels of disjoint row ranges on
-	// concurrent goroutines (bit-exact; see vcm.Manager.Parallel).
-	Parallel bool
 	// Telemetry is the observability sink (metrics, JSONL events, Perfetto
 	// spans, balancer audit). nil disables every hook at the cost of one
 	// pointer check per frame, keeping timing reproductions unaffected.
@@ -217,8 +214,7 @@ func New(opts Options) (*Framework, error) {
 	if opts.DeadlineSlack > 0 {
 		f.health = sched.NewHealth(topo.NumDevices())
 	}
-	f.mgr = &vcm.Manager{Platform: opts.Platform, Mode: opts.Mode,
-		Parallel: opts.Parallel, Telemetry: opts.Telemetry,
+	f.mgr = &vcm.Manager{Platform: opts.Platform, Mode: opts.Mode, Telemetry: opts.Telemetry,
 		Check: opts.CheckSchedules, CheckObserve: opts.CheckObserve}
 	if opts.Mode == vcm.Functional {
 		enc, err := codec.NewEncoder(opts.Codec)

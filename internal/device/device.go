@@ -41,11 +41,6 @@ type Profile struct {
 	Name        string
 	Class       Class
 	CopyEngines int // 0 for CPU, 1 or 2 for GPUs
-	// Streams is the device's compute-stream count: how many kernel row
-	// slices the functional encoder executes concurrently for one dispatch
-	// on this device (via h264.ParallelRows). 0 or 1 means serial — a CPU
-	// core is a single stream; accelerators expose several.
-	Streams int
 
 	// MECandSec is the FSBM cost per macroblock, per search candidate,
 	// per usable reference frame (ME work scales with SA²·RF).
@@ -87,8 +82,6 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("device %s: CPU cores have no copy engines", p.Name)
 	case p.Jitter < 0 || p.Jitter > 0.5:
 		return fmt.Errorf("device %s: jitter %v out of [0, 0.5]", p.Name, p.Jitter)
-	case p.Streams < 0 || p.Streams > 64:
-		return fmt.Errorf("device %s: streams %d out of range [0,64]", p.Name, p.Streams)
 	}
 	return nil
 }
@@ -156,7 +149,7 @@ func (p Profile) Uncalibrated(c KernelCalibration) Profile {
 // Nehalem i7 950 (CPU_N) with the pre-restructuring scalar kernels.
 func baseCPUNehalemCore() Profile {
 	return Profile{
-		Name: "CPU_N-core", Class: CPU, Streams: 1,
+		Name: "CPU_N-core", Class: CPU,
 		MECandSec: 1.943e-8, SMESec: 3.979e-6, INTSec: 1.194e-5, RStarSec: 3.979e-6,
 		Jitter: 0.02,
 	}
@@ -171,7 +164,7 @@ func CPUNehalemCore() Profile {
 // baseCPUHaswellCore is the Fig. 6-anchored per-core CPU_H profile.
 func baseCPUHaswellCore() Profile {
 	return Profile{
-		Name: "CPU_H-core", Class: CPU, Streams: 1,
+		Name: "CPU_H-core", Class: CPU,
 		MECandSec: 1.143e-8, SMESec: 2.340e-6, INTSec: 7.022e-6, RStarSec: 2.340e-6,
 		Jitter: 0.02,
 	}
@@ -186,7 +179,7 @@ func CPUHaswellCore() Profile {
 // baseGPUFermi is the Fig. 6-anchored GPU_F profile.
 func baseGPUFermi() Profile {
 	return Profile{
-		Name: "GPU_F", Class: GPU, CopyEngines: 1, Streams: 4,
+		Name: "GPU_F", Class: GPU, CopyEngines: 1,
 		MECandSec: 2.055e-9, SMESec: 4.208e-7, INTSec: 1.263e-6, RStarSec: 4.208e-7,
 		H2DBytesPerSec: 6e9, D2HBytesPerSec: 5.2e9, TransferLatency: 8e-6,
 		Jitter: 0.02,
@@ -194,8 +187,7 @@ func baseGPUFermi() Profile {
 }
 
 // GPUFermi returns the profile of the NVIDIA Fermi GTX 580 (GPU_F), a
-// single-copy-engine accelerator on a PCIe-2 class link with 4 compute
-// streams.
+// single-copy-engine accelerator on a PCIe-2 class link.
 func GPUFermi() Profile {
 	return baseGPUFermi().Calibrated(DefaultCalibration())
 }
@@ -203,7 +195,7 @@ func GPUFermi() Profile {
 // baseGPUKepler is the Fig. 6-anchored GPU_K profile.
 func baseGPUKepler() Profile {
 	return Profile{
-		Name: "GPU_K", Class: GPU, CopyEngines: 1, Streams: 8,
+		Name: "GPU_K", Class: GPU, CopyEngines: 1,
 		MECandSec: 1.028e-9, SMESec: 2.104e-7, INTSec: 6.313e-7, RStarSec: 2.104e-7,
 		H2DBytesPerSec: 1.1e10, D2HBytesPerSec: 1e10, TransferLatency: 6e-6,
 		Jitter: 0.02,
@@ -211,9 +203,9 @@ func baseGPUKepler() Profile {
 }
 
 // GPUKepler returns the profile of the NVIDIA Kepler GTX 780 Ti (GPU_K),
-// ≈2× GPU_F with a PCIe-3 class link and 8 compute streams. The GeForce
-// Kepler exposes a single copy engine; the dual-copy-engine variant used
-// by the A2 ablation is obtained with WithCopyEngines.
+// ≈2× GPU_F with a PCIe-3 class link. The GeForce Kepler exposes a single
+// copy engine; the dual-copy-engine variant used by the A2 ablation is
+// obtained with WithCopyEngines.
 func GPUKepler() Profile {
 	return baseGPUKepler().Calibrated(DefaultCalibration())
 }

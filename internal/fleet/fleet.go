@@ -87,10 +87,6 @@ type Config struct {
 	// is collected and the loser cancelled, and byte-idempotent shard
 	// replay keeps the reassembled stream bit-exact. 0 disables.
 	SpecSlack float64
-	// CapacityOnly restores the capacity-only routing view (calibrated
-	// rate plus coordinator-routed weight, blind to node-local queues) —
-	// kept for the V8 experiment and as an escape hatch.
-	CapacityOnly bool
 	// Deaths is the deterministic node-death schedule: "die:LABEL@TICK"
 	// entries separated by ';' or ','. At virtual tick TICK the node
 	// vanishes silently — it stops heartbeating but its server keeps
@@ -362,17 +358,12 @@ func unitWeight(w device.Workload, frames int) float64 {
 // aggregate row rate over up devices, plus each node's live queue-aware
 // load (serve.Server.Load — the remaining row·frame weight of everything
 // queued and running there), refreshed at every placement so a node whose
-// backlog deepened since the last decision is routed around. CapacityOnly
-// falls back to the coordinator's own routed-weight bookkeeping, blind to
-// node-local queues. Order matches alive.
+// backlog deepened since the last decision is routed around. Order matches
+// alive.
 func (f *Fleet) capsLocked(alive []*node, w device.Workload) []nodeCap {
 	caps := make([]nodeCap, len(alive))
 	for i, n := range alive {
-		load := n.load
-		if !f.cfg.CapacityOnly {
-			load = n.srv.Load()
-		}
-		caps[i] = nodeCap{rate: n.srv.Pool().Rate(w), load: load}
+		caps[i] = nodeCap{rate: n.srv.Pool().Rate(w), load: n.srv.Load()}
 	}
 	return caps
 }
@@ -382,7 +373,7 @@ func (f *Fleet) capsLocked(alive []*node, w device.Workload) []nodeCap {
 // routed weight, the PR 8 view) would have picked, because that node's
 // live queue made it slower. caps is the queue-aware view in alive order.
 func (f *Fleet) shedOnceLocked(alive []*node, caps []nodeCap, weight float64, chosen *node) {
-	if f.cfg.CapacityOnly || len(alive) < 2 {
+	if len(alive) < 2 {
 		return
 	}
 	capOnly := 0

@@ -321,3 +321,33 @@ func TestHTTPSubmitBodiesBounded(t *testing.T) {
 		t.Fatal("an oversized submission was admitted")
 	}
 }
+
+// TestHTTPRejectsHostileDimensions posts frame sizes past
+// codec.MaxDimension — including the 2^32 × 2^32 whose I420 size wraps to 0
+// and the 2^30 × 2^30 simulation that used to be admitted — to both
+// submission endpoints: each is a 400 whose JSON error names the offending
+// field, never a panic, and nothing is routed.
+func TestHTTPRejectsHostileDimensions(t *testing.T) {
+	f, _ := testFleetServer(t, 2)
+	for _, tc := range []struct{ body, field string }{
+		{`{"mode":"encode","width":4294967296,"height":4294967296,"intra_period":4,"yuv":"AQ=="}`, "width"},
+		{`{"mode":"simulate","width":1073741824,"height":1073741824,"frames":8}`, "width"},
+		{`{"mode":"simulate","width":16400,"height":16,"frames":8}`, "width"},
+		{`{"mode":"encode","width":16,"height":16400,"intra_period":4,"yuv":"AQ=="}`, "height"},
+	} {
+		for _, path := range []string{"/jobs", "/streams"} {
+			rec := httptest.NewRecorder()
+			f.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(tc.body)))
+			var doc map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+				t.Fatalf("POST %s %s: body is not a JSON document: %q (%v)", path, tc.body, rec.Body.String(), err)
+			}
+			if rec.Code != http.StatusBadRequest || !strings.Contains(doc["error"], tc.field) {
+				t.Errorf("POST %s %s: got %d %q, want 400 naming %q", path, tc.body, rec.Code, doc["error"], tc.field)
+			}
+		}
+	}
+	if len(f.Jobs()) != 0 || len(f.Streams()) != 0 {
+		t.Fatal("a hostile spec was admitted")
+	}
+}

@@ -79,48 +79,6 @@ func TestDeepQueueNodeShedsNewWork(t *testing.T) {
 	}
 }
 
-// TestCapacityOnlyIgnoresQueueDepth pins the contrast: with the PR 8
-// capacity-only view restored, the same deep queue is invisible and at
-// least one probe lands on the backlogged node. This is the behaviour the
-// queue-aware router exists to fix.
-func TestCapacityOnlyIgnoresQueueDepth(t *testing.T) {
-	f, err := New(Config{Nodes: testNodes(t, 2, "sysnfk"), CapacityOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	srv0, ok := f.Node("node0")
-	if !ok {
-		t.Fatal("node0 unknown")
-	}
-	deep := serve.JobSpec{Mode: serve.ModeSimulate, Width: 1920, Height: 1088, Frames: 5000}
-	for i := 0; i < 3; i++ {
-		if _, err := srv0.Submit(deep); err != nil {
-			t.Fatalf("deepening node0: %v", err)
-		}
-	}
-	probe := serve.JobSpec{Mode: serve.ModeSimulate, Width: 1920, Height: 1088, Frames: 5}
-	onNode0 := 0
-	for i := 0; i < 4; i++ {
-		ref, err := f.Submit(probe)
-		if err != nil {
-			t.Fatalf("probe %d: %v", i, err)
-		}
-		if ref.Node == "node0" {
-			onNode0++
-		}
-	}
-	if onNode0 == 0 {
-		t.Fatal("capacity-only router avoided the deep queue it cannot see")
-	}
-	if state := f.State(); state.Shed != 0 {
-		t.Fatalf("capacity-only run counted %d sheds", state.Shed)
-	}
-	for _, ref := range f.Jobs() {
-		ref.Job.Cancel()
-	}
-}
-
 // TestStragglerSpeculativelyReleasedBitExact is the acceptance scenario:
 // node0 (one session slot) is busy with a wide filler encode when a
 // two-shard stream arrives. The queue-aware LP still assigns node0 one

@@ -6,11 +6,12 @@
 //
 //   - EncodeFrame / EncodeIntraFrame: single-call whole-frame encoding,
 //     used as the single-device reference implementation.
-//   - BeginFrame / RunME / RunINT / CompleteINT / RunSME / RunRStar: the
-//     module-granular, row-sliceable API that the FEVES Video Coding
-//     Manager drives when the workload is distributed across devices. Any
-//     row distribution produces a bitstream and reconstruction bit-exact
-//     with the whole-frame path (verified by tests).
+//   - BeginFrame + RunInter: the inter loop over an InterPlan of per-device
+//     row ranges, which the FEVES Video Coding Manager drives when the
+//     workload is distributed across devices; RunME / RunINT / CompleteINT
+//     / RunSME / RunRStar are its row-sliceable stages. Any row
+//     distribution produces a bitstream and reconstruction bit-exact with
+//     the whole-frame path (verified by tests).
 //
 // The bitstream is this reproduction's own container (magic "FVS1"), not a
 // standard-compliant NAL stream; DESIGN.md documents the simplifications.
@@ -104,19 +105,28 @@ type Config struct {
 	// mode). The chain structure is signalled in the sequence header; a
 	// conforming decoder mirrors it exactly.
 	Chains int
-	// KernelWorkers splits each kernel dispatch of the serial EncodeFrame
-	// path into this many row slices executed concurrently on the shared
-	// row pool (the in-device slice parallelism of the paper's compute
-	// streams). 0 or 1 keeps serial execution. Results are bit-exact
-	// either way, so the setting is encoder-local and not signalled in
-	// the bitstream. The VCM path ignores it and uses each device
-	// profile's Streams count instead.
+	// KernelWorkers splits each kernel dispatch of the EncodeFrame path
+	// (and RunRStar's deblocking) into this many row slices executed
+	// concurrently on the shared row pool. 0 or 1 keeps serial execution.
+	// Results are bit-exact either way, so the setting is encoder-local
+	// and not signalled in the bitstream. RunInter takes its own ways from
+	// the plan, so the VCM path does not read this field.
 	KernelWorkers int
 }
+
+// MaxDimension is the largest frame width or height accepted, in pixels:
+// the widest picture of H.264 level 6.2. It is checked before anything
+// multiplies the two, so no frame-size product downstream can overflow or
+// ask for more than ~400 MB a frame.
+const MaxDimension = 16384
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	switch {
+	case c.Width > MaxDimension:
+		return fmt.Errorf("codec: width %d exceeds %d", c.Width, MaxDimension)
+	case c.Height > MaxDimension:
+		return fmt.Errorf("codec: height %d exceeds %d", c.Height, MaxDimension)
 	case c.Width <= 0 || c.Height <= 0 || c.Width%h264.MBSize != 0 || c.Height%h264.MBSize != 0:
 		return fmt.Errorf("codec: frame size %dx%d must be positive multiples of %d", c.Width, c.Height, h264.MBSize)
 	case c.SearchRange < 1 || c.SearchRange > h264.DefaultPad-8:
@@ -143,14 +153,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("codec: %d kernel workers out of range [0,64]", c.KernelWorkers)
 	}
 	return nil
-}
-
-// kernelWorkers normalizes the KernelWorkers field (0 means 1).
-func (c Config) kernelWorkers() int {
-	if c.KernelWorkers <= 1 {
-		return 1
-	}
-	return c.KernelWorkers
 }
 
 // chains normalizes the Chains field (0 means 1).

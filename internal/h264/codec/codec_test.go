@@ -71,6 +71,8 @@ func TestConfigValidate(t *testing.T) {
 		{Width: 64, Height: 48, SearchRange: 8, NumRF: 17, IQP: 27, PQP: 28},
 		{Width: 64, Height: 48, SearchRange: 8, NumRF: 1, IQP: 77, PQP: 28},
 		{Width: 64, Height: 48, SearchRange: 1000, NumRF: 1, IQP: 27, PQP: 28},
+		{Width: MaxDimension + 16, Height: 48, SearchRange: 8, NumRF: 1, IQP: 27, PQP: 28},
+		{Width: 64, Height: 1 << 32, SearchRange: 8, NumRF: 1, IQP: 27, PQP: 28},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -105,10 +105,10 @@ func (e *Encoder) ShouldIntra() bool {
 	return e.cfg.IntraPeriod > 0 && e.frames%e.cfg.IntraPeriod == 0
 }
 
-// EncodeFrame encodes one frame end to end on the calling goroutine: the
-// first frame of a sequence (and each IDR refresh point) is intra coded,
-// every other frame runs the full inter loop. This is the single-device
-// reference path.
+// EncodeFrame encodes one frame end to end: the first frame of a sequence
+// (and each IDR refresh point) is intra coded, every other frame runs the
+// inter loop over the whole frame, each kernel split KernelWorkers ways.
+// This is the single-device reference path.
 func (e *Encoder) EncodeFrame(cf *h264.Frame) (rd.FrameStats, error) {
 	if err := e.checkFrame(cf); err != nil {
 		return rd.FrameStats{}, err
@@ -116,14 +116,47 @@ func (e *Encoder) EncodeFrame(cf *h264.Frame) (rd.FrameStats, error) {
 	if e.ShouldIntra() {
 		return e.EncodeIntraFrame(cf)
 	}
-	job := e.BeginFrame(cf)
-	n := e.cfg.MBRows()
-	kw := e.cfg.kernelWorkers()
-	e.RunMEStreams(job, 0, n, kw)
-	e.RunINTStreams(job, 0, n, kw)
+	whole := []RowRange{{0, e.cfg.MBRows()}}
+	plan := InterPlan{ME: whole, INT: whole, SME: whole, Ways: e.cfg.KernelWorkers}
+	return e.RunInter(e.BeginFrame(cf), &plan), nil
+}
+
+// RowRange is macroblock rows [Lo, Hi).
+type RowRange struct{ Lo, Hi int }
+
+// InterPlan says how one inter frame's row-sliced kernels are dispatched:
+// the row ranges ME, INT and SME run over (one per device in a
+// collaborative encode; together each list must cover every row exactly
+// once) and Ways, the number of chunks each range is cut into on the shared
+// row pool (<= 1: the ranges run one after another on the caller). Any plan
+// produces the same bitstream and reconstruction.
+type InterPlan struct {
+	ME, INT, SME []RowRange
+	Ways         int
+}
+
+// RunInter runs the inter loop of Fig. 4 on a job BeginFrame opened: the ME
+// and INT ranges as one concurrent batch, the τ1 host step CompleteINT, the
+// SME ranges as a second batch, then R*. This is the only place that order
+// is written down; the schedule the VCM simulates decides which device a
+// range is charged to, not when its rows are computed.
+func (e *Encoder) RunInter(job *FrameJob, plan *InterPlan) rd.FrameStats {
+	batch := make([]h264.RowTask, 0, len(plan.ME)+len(plan.INT))
+	batch = appendTasks(batch, func(lo, hi int) { e.RunME(job, lo, hi) }, plan.ME)
+	batch = appendTasks(batch, func(lo, hi int) { e.RunINT(job, lo, hi) }, plan.INT)
+	h264.ParallelBatch(batch, plan.Ways)
 	e.CompleteINT(job)
-	e.RunSMEStreams(job, 0, n, kw)
-	return e.RunRStar(job), nil
+	batch = appendTasks(batch[:0], func(lo, hi int) { e.RunSME(job, lo, hi) }, plan.SME)
+	h264.ParallelBatch(batch, plan.Ways)
+	return e.runRStar(job, plan.Ways)
+}
+
+// appendTasks appends one task of kernel k per row range.
+func appendTasks(batch []h264.RowTask, k h264.RowFunc, ranges []RowRange) []h264.RowTask {
+	for _, r := range ranges {
+		batch = append(batch, h264.RowTask{K: k, Lo: r.Lo, Hi: r.Hi})
+	}
+	return batch
 }
 
 func (e *Encoder) checkFrame(cf *h264.Frame) error {
@@ -172,28 +205,11 @@ func (e *Encoder) RunME(job *FrameJob, rowLo, rowHi int) {
 	me.SearchRowsAlgo(e.cfg.MEAlgo, job.CF, e.dpbs[job.Chain], e.cfg.MECfg(), job.ME, rowLo, rowHi)
 }
 
-// RunMEStreams is RunME split across up to streams concurrent row slices
-// on the shared row pool — the in-device slice parallelism of a device's
-// compute streams. Bit-exact with RunME for any streams value.
-func (e *Encoder) RunMEStreams(job *FrameJob, rowLo, rowHi, streams int) {
-	h264.ParallelRows(h264.RowFunc(func(lo, hi int) {
-		e.RunME(job, lo, hi)
-	}), rowLo, rowHi, streams)
-}
-
 // RunINT interpolates macroblock rows [rowLo, rowHi) of the chain's most
 // recent reference frame into the job's new sub-frame. Safe to call
 // concurrently on disjoint row ranges.
 func (e *Encoder) RunINT(job *FrameJob, rowLo, rowHi int) {
 	interp.InterpolateRows(e.dpbs[job.Chain].Ref(0).Y, job.NewSF, rowLo, rowHi)
-}
-
-// RunINTStreams is RunINT split across up to streams concurrent row
-// slices. Bit-exact with RunINT for any streams value.
-func (e *Encoder) RunINTStreams(job *FrameJob, rowLo, rowHi, streams int) {
-	h264.ParallelRows(h264.RowFunc(func(lo, hi int) {
-		e.RunINT(job, lo, hi)
-	}), rowLo, rowHi, streams)
 }
 
 // CompleteINT is the τ1 host-side step: it extends the new sub-frame's
@@ -220,18 +236,6 @@ func (e *Encoder) RunSME(job *FrameJob, rowLo, rowHi int) {
 	}
 	sfs := e.sfsPadded(job.Chain)
 	sme.RefineRows(job.CF, sfs, job.ME, job.SME, rowLo, rowHi)
-}
-
-// RunSMEStreams is RunSME split across up to streams concurrent row
-// slices. Bit-exact with RunSME for any streams value.
-func (e *Encoder) RunSMEStreams(job *FrameJob, rowLo, rowHi, streams int) {
-	if !job.intComplete {
-		panic("codec: RunSME before CompleteINT")
-	}
-	sfs := e.sfsPadded(job.Chain)
-	h264.ParallelRows(h264.RowFunc(func(lo, hi int) {
-		sme.RefineRows(job.CF, sfs, job.ME, job.SME, lo, hi)
-	}), rowLo, rowHi, streams)
 }
 
 // sfsPadded returns one chain's SF list padded with nils up to NumRF slots

@@ -35,7 +35,7 @@ func (e *Encoder) EncodeIntraFrame(cf *h264.Frame) (rd.FrameStats, error) {
 	}
 	e.assembleFrame(hw, sinks)
 
-	e.filterRecon(recon, bi, qp)
+	filterRecon(recon, bi, qp, e.cfg.KernelWorkers)
 	if e.cfg.Checksum {
 		e.w.WriteBits(reconCRC(recon), 32)
 	}

@@ -25,9 +25,8 @@ func encodeWithWorkers(t *testing.T, w, h, workers int) []byte {
 
 // TestKernelWorkersBitExact pins the slice-parallel contract end to end:
 // routing ME search, interpolation, sub-pel refinement and plane-parallel
-// deblocking through ParallelRows must reproduce the serial bitstream
-// byte for byte, at both GPU stream counts (GPU_F runs 4 compute streams,
-// GPU_K runs 8). The 112×176 frame has 11 macroblock rows — an odd count
+// deblocking through the row pool must reproduce the serial bitstream
+// byte for byte. The 112×176 frame has 11 macroblock rows — an odd count
 // no tested worker count divides, so every run exercises uneven chunking
 // and a short final chunk. Run under -race this also proves the row
 // slices share no samples.
@@ -44,58 +43,65 @@ func TestKernelWorkersBitExact(t *testing.T) {
 	}
 }
 
-// TestRunStreamsMatchSerialStages drives the per-stage stream wrappers the
-// VCM payloads use — RunMEStreams / RunINTStreams / RunSMEStreams on
-// partial row ranges — against the serial RunME / RunINT / RunSME on a
-// second encoder, checking the motion fields stay bit-exact stage by
-// stage.
-func TestRunStreamsMatchSerialStages(t *testing.T) {
+// TestRunInterMatchesSerialStages drives RunInter the way the VCM does —
+// uneven per-device row ranges, different for ME, INT and SME, every range
+// cut ways ways on the shared pool — against the serial RunME / RunINT /
+// RunSME stages on a second encoder, and checks the motion fields, the
+// interpolated sub-frame and the frame stats stay bit-exact stage by
+// stage. The 112×176 frame has 11 macroblock rows.
+func TestRunInterMatchesSerialStages(t *testing.T) {
 	const w, h = 112, 176
 	scene := movingScene(w, h, 4, 7)
-	par, err := NewEncoder(testConfig(w, h))
-	if err != nil {
-		t.Fatal(err)
+	two := InterPlan{
+		ME:  []RowRange{{0, 3}, {3, 11}},
+		INT: []RowRange{{0, 9}, {9, 11}},
+		SME: []RowRange{{0, 1}, {1, 11}},
 	}
-	ser, err := NewEncoder(testConfig(w, h))
-	if err != nil {
-		t.Fatal(err)
+	five := InterPlan{
+		ME:  []RowRange{{0, 6}, {6, 7}, {7, 8}, {8, 10}, {10, 11}},
+		INT: []RowRange{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 11}},
+		SME: []RowRange{{0, 4}, {4, 5}, {5, 5}, {5, 9}, {9, 11}}, // one device idle
 	}
-	if _, err := par.EncodeFrame(scene[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ser.EncodeFrame(scene[0]); err != nil {
-		t.Fatal(err)
-	}
-	n := scene[1].MBHeight()
-	split := n / 3
-	for _, cf := range scene[1:] {
-		jp, js := par.BeginFrame(cf), ser.BeginFrame(cf)
-		// Two uneven dispatches per stage, as a two-device schedule would
-		// issue them, with different stream counts per dispatch.
-		par.RunMEStreams(jp, 0, split, 4)
-		par.RunMEStreams(jp, split, n, 8)
-		ser.RunME(js, 0, n)
-		if !jp.ME.Equal(js.ME) {
-			t.Fatal("parallel ME field differs from serial")
+	for _, plan := range []InterPlan{two, five} {
+		for _, ways := range []int{1, 3, 8} {
+			plan.Ways = ways
+			par, err := NewEncoder(testConfig(w, h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ser, err := NewEncoder(testConfig(w, h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := par.EncodeFrame(scene[0]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ser.EncodeFrame(scene[0]); err != nil {
+				t.Fatal(err)
+			}
+			n := scene[1].MBHeight()
+			for _, cf := range scene[1:] {
+				jp, js := par.BeginFrame(cf), ser.BeginFrame(cf)
+				sp := par.RunInter(jp, &plan)
+				ser.RunME(js, 0, n)
+				ser.RunINT(js, 0, n)
+				ser.CompleteINT(js)
+				ser.RunSME(js, 0, n)
+				ss := ser.RunRStar(js)
+				switch {
+				case !jp.ME.Equal(js.ME):
+					t.Fatalf("%d ranges, ways %d: ME field differs from serial", len(plan.ME), ways)
+				case !jp.NewSF.Equal(js.NewSF):
+					t.Fatalf("%d ranges, ways %d: interpolated sub-frame differs from serial", len(plan.ME), ways)
+				case !jp.SME.Equal(js.SME):
+					t.Fatalf("%d ranges, ways %d: SME field differs from serial", len(plan.ME), ways)
+				case sp != ss:
+					t.Fatalf("%d ranges, ways %d: frame stats diverged: %+v vs %+v", len(plan.ME), ways, sp, ss)
+				}
+			}
+			if !bytes.Equal(par.Bitstream(), ser.Bitstream()) {
+				t.Fatalf("%d ranges, ways %d: bitstream differs from serial", len(plan.ME), ways)
+			}
 		}
-		par.RunINTStreams(jp, 0, split, 8)
-		par.RunINTStreams(jp, split, n, 4)
-		ser.RunINT(js, 0, n)
-		par.CompleteINT(jp)
-		ser.CompleteINT(js)
-		par.RunSMEStreams(jp, 0, split, 4)
-		par.RunSMEStreams(jp, split, n, 8)
-		ser.RunSME(js, 0, n)
-		if !jp.SME.Equal(js.SME) {
-			t.Fatal("parallel SME field differs from serial")
-		}
-		sp := par.RunRStar(jp)
-		ss := ser.RunRStar(js)
-		if sp != ss {
-			t.Fatalf("frame stats diverged: %+v vs %+v", sp, ss)
-		}
-	}
-	if !bytes.Equal(par.Bitstream(), ser.Bitstream()) {
-		t.Fatal("stream-dispatched bitstream differs from serial")
 	}
 }

@@ -10,11 +10,11 @@ import (
 )
 
 // filterRecon deblocks a reconstructed frame, filtering the three planes
-// concurrently when the encoder is configured with kernel workers. The
-// planes share no samples and boundary strengths depend only on BlockInfo,
-// so the plane-parallel result is bit-exact with the serial filter.
-func (e *Encoder) filterRecon(recon *h264.Frame, bi *deblock.BlockInfo, qp int) {
-	if e.cfg.kernelWorkers() <= 1 {
+// concurrently when ways > 1. The planes share no samples and boundary
+// strengths depend only on BlockInfo, so the plane-parallel result is
+// bit-exact with the serial filter.
+func filterRecon(recon *h264.Frame, bi *deblock.BlockInfo, qp, ways int) {
+	if ways <= 1 {
 		deblock.FilterFrame(recon, bi, qp)
 		return
 	}
@@ -31,8 +31,13 @@ func (e *Encoder) filterRecon(recon *h264.Frame, bi *deblock.BlockInfo, qp int) 
 // coding, Dequantization and Inverse Transform (reconstruction), and
 // Deblocking Filtering — sequentially, as on the single device the load
 // balancer assigns R* to. It pushes the reconstructed frame into the DPB
-// and returns the frame statistics.
+// and returns the frame statistics. Only deblocking is split, across
+// KernelWorkers.
 func (e *Encoder) RunRStar(job *FrameJob) rd.FrameStats {
+	return e.runRStar(job, e.cfg.KernelWorkers)
+}
+
+func (e *Encoder) runRStar(job *FrameJob, ways int) rd.FrameStats {
 	if !job.intComplete {
 		panic("codec: RunRStar before CompleteINT")
 	}
@@ -96,7 +101,7 @@ func (e *Encoder) RunRStar(job *FrameJob) rd.FrameStats {
 	}
 	e.assembleFrame(hw, sinks)
 
-	e.filterRecon(recon, bi, qp)
+	filterRecon(recon, bi, qp, ways)
 	if e.cfg.Checksum {
 		e.w.WriteBits(reconCRC(recon), 32)
 	}

@@ -1,8 +1,10 @@
 package h264
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // coverKernel counts, per row, how many times the pool visited it.
@@ -35,7 +37,7 @@ func TestRowPoolCoversEveryRowOnce(t *testing.T) {
 	}
 	for _, tc := range cases {
 		k := &coverKernel{hits: make([]int32, 20)}
-		p.Run(k, tc.lo, tc.hi, tc.ways)
+		p.Run([]RowTask{{k, tc.lo, tc.hi}}, tc.ways)
 		for r := 0; r < len(k.hits); r++ {
 			want := int32(0)
 			if r >= tc.lo && r < tc.hi {
@@ -70,15 +72,55 @@ func TestParallelRowsCoversEveryRowOnce(t *testing.T) {
 	}
 }
 
+// TestRowPoolBatchConcurrentCallers has several callers at once submit
+// batches of more chunks than the job channel holds (a 2-worker pool
+// buffers 8): every enqueue beyond the buffer must wait for a worker or a
+// draining caller to take a chunk, callers run each other's chunks, no
+// caller may deadlock, and every row of every task is visited exactly once.
+func TestRowPoolBatchConcurrentCallers(t *testing.T) {
+	p := NewRowPool(2)
+	const callers, rounds, rows = 6, 20, 40
+	ranges := [][2]int{{0, 17}, {17, 18}, {18, 18}, {18, 31}, {31, 40}} // uneven, one empty
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				a := &coverKernel{hits: make([]int32, rows)}
+				b := &coverKernel{hits: make([]int32, rows)}
+				var batch []RowTask
+				for _, rg := range ranges {
+					batch = append(batch, RowTask{a, rg[0], rg[1]}, RowTask{b, rg[0], rg[1]})
+				}
+				p.Run(batch, 5) // 5+1+0+5+5 chunks per kernel: 32 a batch
+				for row := 0; row < rows; row++ {
+					if a.hits[row] != 1 || b.hits[row] != 1 {
+						t.Errorf("row %d visited %d/%d times, want 1/1", row, a.hits[row], b.hits[row])
+						return
+					}
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("concurrent batches deadlocked")
+	}
+}
+
 // TestRowPoolZeroSteadyStateAllocs pins the pool's allocation-free steady
 // state: jobs travel by value and WaitGroups come from the freelist, so a
 // Run dispatch allocates nothing once the pool exists.
 func TestRowPoolZeroSteadyStateAllocs(t *testing.T) {
 	p := NewRowPool(4)
 	k := &coverKernel{hits: make([]int32, 16)}
-	p.Run(k, 0, 16, 4) // warm the pool
+	p.Run([]RowTask{{k, 0, 16}}, 4) // warm the pool
 	allocs := testing.AllocsPerRun(200, func() {
-		p.Run(k, 0, 16, 4)
+		p.Run([]RowTask{{k, 0, 11}, {k, 11, 16}}, 4)
 	})
 	if allocs != 0 {
 		t.Fatalf("RowPool.Run allocates %.1f objects per dispatch, want 0", allocs)

@@ -355,3 +355,36 @@ func TestHTTPSubmitBodyBounded(t *testing.T) {
 		t.Fatal("an oversized submission was admitted")
 	}
 }
+
+// hostileDimensions are specs whose frame size must be refused before any
+// size arithmetic: 2^32 × 2^32 wraps the I420 frame size to 0 (which used
+// to panic the YUV length check with a divide by zero), 2^30 × 2^30 used to
+// be admitted as a simulation, and the last two sit just past
+// codec.MaxDimension on one axis each.
+var hostileDimensions = []struct{ body, field string }{
+	{`{"mode":"encode","width":4294967296,"height":4294967296,"yuv":"AQ=="}`, "width"},
+	{`{"mode":"simulate","width":1073741824,"height":1073741824,"frames":1}`, "width"},
+	{`{"mode":"simulate","width":16400,"height":16,"frames":1}`, "width"},
+	{`{"mode":"encode","width":16,"height":16400,"yuv":"AQ=="}`, "height"},
+}
+
+// TestHTTPRejectsHostileDimensions posts them to POST /jobs: each is a 400
+// whose JSON error names the offending field, never a panic, and nothing is
+// admitted.
+func TestHTTPRejectsHostileDimensions(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for _, tc := range hostileDimensions {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(tc.body)))
+		var doc map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("%s: body is not a JSON document: %q (%v)", tc.body, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(doc["error"], tc.field) {
+			t.Errorf("%s: got %d %q, want 400 naming %q", tc.body, rec.Code, doc["error"], tc.field)
+		}
+	}
+	if len(s.Jobs()) != 0 {
+		t.Fatal("a hostile spec was admitted")
+	}
+}

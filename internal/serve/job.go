@@ -8,7 +8,6 @@ import (
 
 	"feves/internal/core"
 	"feves/internal/device"
-	"feves/internal/h264"
 	"feves/internal/h264/codec"
 	"feves/internal/session"
 )
@@ -85,12 +84,13 @@ func (sp JobSpec) FrameCount() int {
 }
 
 func (sp JobSpec) validate() error {
-	switch {
-	case sp.Mode != ModeSimulate && sp.Mode != ModeEncode:
+	if sp.Mode != ModeSimulate && sp.Mode != ModeEncode {
 		return fmt.Errorf("serve: mode %q must be %q or %q", sp.Mode, ModeSimulate, ModeEncode)
-	case sp.Width <= 0 || sp.Height <= 0 || sp.Width%h264.MBSize != 0 || sp.Height%h264.MBSize != 0:
-		return fmt.Errorf("serve: frame size %dx%d must be positive multiples of %d",
-			sp.Width, sp.Height, h264.MBSize)
+	}
+	// The codec bounds width and height; only past this check is
+	// frameBytes known to be positive and free of overflow.
+	if err := sp.CodecConfig().Validate(); err != nil {
+		return err
 	}
 	if sp.FrameBase != 0 {
 		if sp.FrameBase < 0 || sp.IntraPeriod <= 0 || sp.FrameBase%sp.IntraPeriod != 0 {
@@ -111,7 +111,7 @@ func (sp JobSpec) validate() error {
 				sp.frameBytes(), len(sp.YUV))
 		}
 	}
-	return sp.CodecConfig().Validate()
+	return nil
 }
 
 // Validate checks the spec exactly as Submit would without admitting it.

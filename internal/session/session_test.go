@@ -14,12 +14,12 @@ import (
 	"feves/internal/vcm"
 )
 
-func timingOpts(frameParallel bool) core.Options {
+func timingOpts(pairs bool) core.Options {
 	cc := codec.Config{Width: 1920, Height: 1088, SearchRange: 32, NumRF: 1, IQP: 27, PQP: 28, Chains: 1}
-	if frameParallel {
+	if pairs {
 		cc.Chains = 2
 	}
-	return core.Options{Codec: cc, Mode: vcm.TimingOnly, FrameParallel: frameParallel}
+	return core.Options{Codec: cc, Mode: vcm.TimingOnly, FrameParallel: pairs}
 }
 
 func sysnfk(t *testing.T, faults string) *device.Platform {

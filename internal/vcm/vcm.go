@@ -8,9 +8,10 @@
 // τ1, τ2 and τtot, and feeds the measured execution and transfer times back
 // into the Performance Characterization.
 //
-// In Functional mode every kernel task additionally carries the real
-// encoding work (the codec package's row-sliced module calls), so the
-// simulated schedule drives a genuine, bit-exact collaborative encode.
+// In Functional mode every kernel task's row range additionally enters
+// the frame's codec.InterPlan, and the codec runs the plan for real once the
+// schedule passed its deadlines, so the simulated schedule drives a
+// genuine, bit-exact collaborative encode.
 //
 // One builder emits every schedule: EncodeFrames takes a window of frames
 // and submits each frame's Fig. 4 task graph into its own slot. A serial
@@ -26,7 +27,7 @@
 // Correctness under the simulator's strict-FIFO resources does not depend
 // on the submission order — task dependencies enforce the Fig. 4
 // structure per frame — so any interleaving is bit-exact; the order only
-// shapes the timeline. The functional payloads run strictly in display
+// shapes the timeline. The functional plans run strictly in display
 // order, which serializes the bitstream writes and keeps the output
 // byte-identical to the serial two-chain encode.
 package vcm
@@ -34,7 +35,6 @@ package vcm
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"feves/internal/check"
 	"feves/internal/device"
@@ -103,7 +103,7 @@ func (t FrameTiming) FPS() float64 {
 
 // ErrPairSceneCut reports that the first frame of a two-frame window
 // scene-cut to an intra frame inside R*, flushing every reference chain:
-// the second frame's references no longer exist, its functional payloads
+// the second frame's references no longer exist, its functional plan
 // did not run, and the caller must re-encode it serially. The first
 // frame's FrameTiming (with its intra stats) is returned alongside.
 var ErrPairSceneCut = errors.New("vcm: scene cut inside frame pair, second frame aborted")
@@ -135,11 +135,6 @@ type Manager struct {
 	Mode     Mode
 	// Enc is the functional encoder; required in Functional mode.
 	Enc *codec.Encoder
-	// Parallel executes the functional kernels of independent row ranges
-	// concurrently (one goroutine per assigned range), exploiting host
-	// cores while preserving bit-exact output: ME/INT ranges are disjoint
-	// writers, SME starts only after the τ1 assembly, and R* is exclusive.
-	Parallel bool
 	// Telemetry receives every frame's executed schedule spans for the
 	// whole-run Perfetto timeline; nil disables the hook.
 	Telemetry *telemetry.Telemetry
@@ -186,8 +181,11 @@ type frameSlot struct {
 	// are zero-duration FIFO tasks, so in-flight frames need disjoint
 	// barrier queues or one frame's τ2 would head-of-line block behind the
 	// other's τ1.
-	host             *simclock.Resource
+	host *simclock.Resource
+	// job and plan are the functional frame and the row ranges its kernel
+	// tasks cover, one per device and module (Functional mode only).
 	job              *codec.FrameJob
+	plan             codec.InterPlan
 	offM, offL, offS []int
 	obsBuf           []obsRec
 	// maxFac/maxDur collect per-device blame evidence for the deadline
@@ -197,7 +195,6 @@ type frameSlot struct {
 	tau1Deps       []*simclock.Task
 	tau2Deps       []*simclock.Task
 	tau1, tau2     *simclock.Task
-	payloads       framePayloads
 	spans          []TaskSpan
 	chkSpans       []check.Span
 	telSpans       []telemetry.Span
@@ -222,10 +219,7 @@ func (s *frameSlot) reset(nDev int) {
 	for i := range s.maxFac {
 		s.maxFac[i], s.maxDur[i] = 0, 0
 	}
-	s.payloads.wave1 = s.payloads.wave1[:0]
-	s.payloads.wave2 = s.payloads.wave2[:0]
-	s.payloads.completeINT = nil
-	s.payloads.rstar = nil
+	s.plan.ME, s.plan.INT, s.plan.SME = s.plan.ME[:0], s.plan.INT[:0], s.plan.SME[:0]
 	s.tau1Deps = s.tau1Deps[:0]
 	s.tau2Deps = s.tau2Deps[:0]
 	s.tau1, s.tau2 = nil, nil
@@ -277,47 +271,6 @@ func (m *Manager) ensureSim() {
 
 // isDown reports whether device i is excluded from scheduling.
 func (m *Manager) isDown(i int) bool { return m.Down != nil && i < len(m.Down) && m.Down[i] }
-
-// framePayloads collects the functional work of one frame, organized by
-// the synchronization structure of Fig. 4: everything before τ1 (ME and
-// INT row ranges), the τ1 host assembly, the SME ranges, and R*.
-type framePayloads struct {
-	wave1       []func() // ME and INT row slices
-	completeINT func()
-	wave2       []func() // SME row slices
-	rstar       func() rd.FrameStats
-}
-
-// run executes the payloads honouring the dependency structure; within a
-// wave the slices touch disjoint rows, so they may run concurrently.
-func (p *framePayloads) run(parallel bool) rd.FrameStats {
-	runWave := func(fns []func()) {
-		if !parallel || len(fns) < 2 {
-			for _, fn := range fns {
-				fn()
-			}
-			return
-		}
-		var wg sync.WaitGroup
-		for _, fn := range fns {
-			wg.Add(1)
-			go func(fn func()) {
-				defer wg.Done()
-				fn()
-			}(fn)
-		}
-		wg.Wait()
-	}
-	runWave(p.wave1)
-	if p.completeINT != nil {
-		p.completeINT()
-	}
-	runWave(p.wave2)
-	if p.rstar != nil {
-		return p.rstar()
-	}
-	return rd.FrameStats{}
-}
 
 // devResources holds the simulator resources of one device.
 type devResources struct {
@@ -421,12 +374,6 @@ func (m *Manager) xfer(s *frameSlot, i int, tr sched.Transfer,
 
 // phase1 submits one frame's τ1 phase (RF/CF/SFprev inputs, INT and ME
 // kernels, SF/MV outputs) and its τ1 barrier.
-//
-// Every payload closure here and in phase2/tail captures a local job
-// declared and assigned exactly once inside the Functional branch: a
-// captured variable that is reassigned is captured by reference, which
-// heap-allocates its cell on every call — even in timing-only mode, where
-// no closure is ever created.
 func (m *Manager) phase1(s *frameSlot, in *FrameInput) {
 	pl := m.Platform
 	d, w := &in.D, in.W
@@ -448,17 +395,11 @@ func (m *Manager) phase1(s *frameSlot, in *FrameInput) {
 
 		intT := m.kernel(s, in, i, sched.ModINT, d.L[i], rf)
 		if intT != nil && m.Mode == Functional {
-			lo, hi := s.offL[i], s.offL[i]+d.L[i]
-			streams := pl.Dev(i).Streams
-			job := s.job
-			s.payloads.wave1 = append(s.payloads.wave1, func() { m.Enc.RunINTStreams(job, lo, hi, streams) })
+			s.plan.INT = append(s.plan.INT, codec.RowRange{Lo: s.offL[i], Hi: s.offL[i] + d.L[i]})
 		}
 		meT := m.kernel(s, in, i, sched.ModME, d.M[i], cfIn, rf)
 		if meT != nil && m.Mode == Functional {
-			lo, hi := s.offM[i], s.offM[i]+d.M[i]
-			streams := pl.Dev(i).Streams
-			job := s.job
-			s.payloads.wave1 = append(s.payloads.wave1, func() { m.Enc.RunMEStreams(job, lo, hi, streams) })
+			s.plan.ME = append(s.plan.ME, codec.RowRange{Lo: s.offM[i], Hi: s.offM[i] + d.M[i]})
 		}
 		sfOut := m.xfer(s, i, sched.SFd2h, d.L[i], w.SFRowBytes(), false, intT)
 		mvOut := m.xfer(s, i, sched.MVd2h, d.M[i], w.MVRowBytes(), false, meT)
@@ -466,10 +407,6 @@ func (m *Manager) phase1(s *frameSlot, in *FrameInput) {
 	}
 	s.tau1 = m.sim.Add(s.host, "tau1", 0, s.tau1Deps...)
 	s.tasks = append(s.tasks, s.tau1)
-	if m.Mode == Functional {
-		job := s.job
-		s.payloads.completeINT = func() { m.Enc.CompleteINT(job) }
-	}
 }
 
 // phase2 submits one frame's τ2 phase (Δ transfers, SME kernels, MV
@@ -485,10 +422,7 @@ func (m *Manager) phase2(s *frameSlot, in *FrameInput) {
 		dmIn := m.xfer(s, i, sched.MVh2d, d.DeltaM[i], w.MVRowBytes(), true, tau1)
 		smeT := m.kernel(s, in, i, sched.ModSME, d.S[i], tau1, dlIn, dmIn)
 		if smeT != nil && m.Mode == Functional {
-			lo, hi := s.offS[i], s.offS[i]+d.S[i]
-			streams := pl.Dev(i).Streams
-			job := s.job
-			s.payloads.wave2 = append(s.payloads.wave2, func() { m.Enc.RunSMEStreams(job, lo, hi, streams) })
+			s.plan.SME = append(s.plan.SME, codec.RowRange{Lo: s.offS[i], Hi: s.offS[i] + d.S[i]})
 		}
 		s.tau2Deps = append(s.tau2Deps, smeT)
 		if pl.IsGPU(i) {
@@ -517,10 +451,9 @@ func (m *Manager) tail(s *frameSlot, in *FrameInput) {
 	rows := w.Rows()
 	rstar := d.RStarDev
 	tau2 := s.tau2
-	var rstarTask *simclock.Task
 	if pl.IsGPU(rstar) {
 		mvIn := m.xfer(s, rstar, sched.MVh2d, rows-d.S[rstar], w.MVRowBytes(), true, tau2)
-		rstarTask = m.kernel(s, in, rstar, sched.ModRStar, rows, tau2, mvIn)
+		rstarTask := m.kernel(s, in, rstar, sched.ModRStar, rows, tau2, mvIn)
 		m.xfer(s, rstar, sched.RFd2h, rows, w.RFRowBytes(), false, rstarTask)
 	} else {
 		// CPU-centric: the R* group runs cooperatively on the surviving
@@ -538,15 +471,8 @@ func (m *Manager) tail(s *frameSlot, in *FrameInput) {
 				share++
 			}
 			k++
-			t := m.kernel(s, in, c, sched.ModRStar, share, tau2)
-			if c == rstar {
-				rstarTask = t
-			}
+			m.kernel(s, in, c, sched.ModRStar, share, tau2)
 		}
-	}
-	if rstarTask != nil && m.Mode == Functional {
-		job := s.job
-		s.payloads.rstar = func() rd.FrameStats { return m.Enc.RunRStar(job) }
 	}
 	for i := 0; i < pl.NumDevices(); i++ {
 		if pl.IsGPU(i) && i != rstar {
@@ -642,11 +568,13 @@ func (m *Manager) EncodeFrames(pm *sched.PerfModel, frames ...FrameInput) ([]Fra
 
 	if m.Mode == Functional {
 		for k := range out {
-			out[k].Stats = m.slots[k].payloads.run(m.Parallel)
+			s := &m.slots[k]
+			s.plan.Ways = h264.BalancedWays()
+			out[k].Stats = m.Enc.RunInter(s.job, &s.plan)
 			if out[k].Stats.Intra && k+1 < n {
 				// The frame scene-cut to intra inside R*: every chain was
 				// flushed, the later frames' references are gone and their
-				// payloads must not run.
+				// plans must not run.
 				out = out[:k+1]
 				err = ErrPairSceneCut
 				break

@@ -279,7 +279,7 @@ func TestCPUCentricPlatform(t *testing.T) {
 // encodeFunctional drives a functional VCM encode of the first `frames`
 // frames of src on pl with win frames in flight (a trailing frame that
 // does not fill a window is left out) and returns the encoder.
-func encodeFunctional(t *testing.T, cfg codec.Config, pl *device.Platform, src *video.Synthetic, frames, win int, parallel bool) *codec.Encoder {
+func encodeFunctional(t *testing.T, cfg codec.Config, pl *device.Platform, src *video.Synthetic, frames, win int) *codec.Encoder {
 	t.Helper()
 	enc, err := codec.NewEncoder(cfg)
 	if err != nil {
@@ -288,7 +288,7 @@ func encodeFunctional(t *testing.T, cfg codec.Config, pl *device.Platform, src *
 	if _, err := enc.EncodeIntraFrame(src.FrameAt(0)); err != nil {
 		t.Fatal(err)
 	}
-	dr := newDriver(&Manager{Platform: pl, Mode: Functional, Enc: enc, Parallel: parallel})
+	dr := newDriver(&Manager{Platform: pl, Mode: Functional, Enc: enc})
 	for dr.frame+win <= frames {
 		fts, err := dr.step(t, win, func(frame, chain int) (device.Workload, *h264.Frame) {
 			return device.Workload{MBW: cfg.Width / 16, MBH: cfg.Height / 16, SA: 2 * cfg.SearchRange,
@@ -326,24 +326,12 @@ func testFunctionalBitExact(t *testing.T, frames, win int) {
 			t.Fatal(err)
 		}
 	}
-	enc := encodeFunctional(t, cfg, device.SysNF(), src, frames, win, false)
+	enc := encodeFunctional(t, cfg, device.SysNF(), src, frames, win)
 	if a, b := ref.Bitstream(), enc.Bitstream(); !bytes.Equal(a, b) {
 		t.Fatalf("bitstreams differ (%d vs %d bytes)", len(a), len(b))
 	}
 	if !ref.LastRecon().Equal(enc.LastRecon()) {
 		t.Fatal("reconstructions differ")
-	}
-}
-
-func TestParallelFunctionalBitExact(t *testing.T) {
-	// Concurrent kernel execution must not change a single bit of output.
-	const frames = 4
-	cfg := codec.Config{Width: 64, Height: 64, SearchRange: 8, NumRF: 2, IQP: 27, PQP: 28}
-	src := video.NewSynthetic(cfg.Width, cfg.Height, frames, 77)
-	seq := encodeFunctional(t, cfg, device.SysNFF(), src, frames, 1, false).Bitstream()
-	par := encodeFunctional(t, cfg, device.SysNFF(), src, frames, 1, true).Bitstream()
-	if !bytes.Equal(seq, par) {
-		t.Fatalf("parallel execution changed the stream (%d vs %d bytes)", len(seq), len(par))
 	}
 }
 
