@@ -351,7 +351,7 @@ func (f *Fleet) aliveLocked() []*node {
 // unitWeight is a placement's serialized row demand: frame rows × frames,
 // the numerator of the router LP's node finish-time estimate.
 func unitWeight(w device.Workload, frames int) float64 {
-	return float64(w.Rows() * frames)
+	return float64(w.Rows()) * float64(frames)
 }
 
 // capsLocked builds the router's node view for a workload: calibrated

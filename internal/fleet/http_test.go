@@ -324,9 +324,10 @@ func TestHTTPSubmitBodiesBounded(t *testing.T) {
 
 // TestHTTPRejectsHostileDimensions posts frame sizes past
 // codec.MaxDimension — including the 2^32 × 2^32 whose I420 size wraps to 0
-// and the 2^30 × 2^30 simulation that used to be admitted — to both
-// submission endpoints: each is a 400 whose JSON error names the offending
-// field, never a panic, and nothing is routed.
+// and the 2^30 × 2^30 simulation that used to be admitted — and a frame
+// count past serve.MaxFrames to both submission endpoints: each is a 400
+// whose JSON error names the offending field, never a panic, and nothing is
+// routed.
 func TestHTTPRejectsHostileDimensions(t *testing.T) {
 	f, _ := testFleetServer(t, 2)
 	for _, tc := range []struct{ body, field string }{
@@ -334,6 +335,7 @@ func TestHTTPRejectsHostileDimensions(t *testing.T) {
 		{`{"mode":"simulate","width":1073741824,"height":1073741824,"frames":8}`, "width"},
 		{`{"mode":"simulate","width":16400,"height":16,"frames":8}`, "width"},
 		{`{"mode":"encode","width":16,"height":16400,"intra_period":4,"yuv":"AQ=="}`, "height"},
+		{`{"mode":"simulate","width":1920,"height":1088,"frames":1099511627776}`, "frames"},
 	} {
 		for _, path := range []string{"/jobs", "/streams"} {
 			rec := httptest.NewRecorder()

@@ -4,7 +4,64 @@ import (
 	"testing"
 
 	"feves/internal/h264"
+	"feves/internal/h264/interp"
 )
+
+// TestRefChains drives the reference state through IDR → inter frames → IDR
+// the way both Encoder and Decoder do and pins what they rely on: an IDR
+// seeds every chain with the one frame, inter frames alternate chains, each
+// chain ramps to NumRF and then evicts its oldest, and at every prediction
+// sfs[i] is the sub-frame of refs[i] with nothing beyond the references.
+func TestRefChains(t *testing.T) {
+	for _, tc := range []struct{ chains, numRF, inter int }{
+		{1, 1, 3}, {1, 3, 6}, {2, 1, 4}, {2, 2, 7}, {2, 4, 12},
+	} {
+		rc := newRefChains(tc.chains, tc.numRF)
+		// Sub-frames are per chain: each chain interpolates the shared seed
+		// for itself.
+		type key struct {
+			chain int
+			f     *h264.Frame
+		}
+		sfOf := map[key]*interp.SubFrame{}
+		for round := 0; round < 2; round++ {
+			seed := h264.NewFrame(16, 16)
+			rc.idr(seed)
+			want := make([][]*h264.Frame, tc.chains) // each chain's references, newest first
+			for c := range want {
+				want[c] = []*h264.Frame{seed}
+			}
+			for i := 0; i < tc.inter; i++ {
+				c := rc.next()
+				if c != i%tc.chains {
+					t.Fatalf("%+v: inter %d on chain %d, want %d", tc, i, c, i%tc.chains)
+				}
+				sf := &interp.SubFrame{}
+				sfOf[key{c, want[c][0]}] = sf
+				rc.installSF(c, sf)
+				refs, sfs := rc.lists(c)
+				if len(refs) != len(want[c]) || len(sfs) != tc.numRF {
+					t.Fatalf("%+v: inter %d has %d refs and %d SF slots, want %d and %d",
+						tc, i, len(refs), len(sfs), len(want[c]), tc.numRF)
+				}
+				for k, s := range sfs {
+					switch {
+					case k >= len(refs) && s != nil:
+						t.Fatalf("%+v: inter %d: sub-frame %d beyond the %d references", tc, i, k, len(refs))
+					case k < len(refs) && (refs[k] != want[c][k] || s != sfOf[key{c, refs[k]}]):
+						t.Fatalf("%+v: inter %d: reference %d or its sub-frame is not the expected one", tc, i, k)
+					}
+				}
+				recon := h264.NewFrame(16, 16)
+				rc.push(c, recon)
+				want[c] = append([]*h264.Frame{recon}, want[c]...)
+				if len(want[c]) > tc.numRF {
+					want[c] = want[c][:tc.numRF]
+				}
+			}
+		}
+	}
+}
 
 // TestTwoChainRoundTrip encodes a sequence with two reference chains on the
 // serial path and checks the decoder reproduces every reconstruction

@@ -103,7 +103,7 @@ type Config struct {
 	// own reconstructed frames, so two consecutive inter frames have no
 	// data dependency and can be encoded concurrently (frame-parallel
 	// mode). The chain structure is signalled in the sequence header; a
-	// conforming decoder mirrors it exactly.
+	// conforming decoder follows it exactly (both sides hold a refChains).
 	Chains int
 	// KernelWorkers splits each kernel dispatch of the EncodeFrame path
 	// (and RunRStar's deblocking) into this many row slices executed

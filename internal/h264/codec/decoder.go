@@ -77,15 +77,10 @@ func (d *Decoder) beginFrameEntropy(slices int) ([]blockSource, error) {
 // reference frame, regardless of how the encoding was distributed across
 // devices.
 type Decoder struct {
-	cfg Config
-	r   *entropy.BitReader
-	// dpbs and sfs mirror the encoder's per-chain reference structure;
-	// sinceIntra reproduces its round-robin chain assignment (frames are
-	// decoded serially in coded order, which IS the assignment order).
-	dpbs       []*h264.DPB
-	sfs        [][]*interp.SubFrame
-	sinceIntra int
-	poc        int
+	cfg  Config
+	r    *entropy.BitReader
+	refs *refChains // the encoder's reference state, moved by the same code
+	poc  int
 	// stats, when non-nil, collects per-frame syntax statistics for
 	// Inspect.
 	stats *FrameInfo
@@ -112,13 +107,7 @@ func NewDecoder(stream []byte) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Decoder{cfg: cfg, r: r,
-		dpbs: make([]*h264.DPB, cfg.chains()),
-		sfs:  make([][]*interp.SubFrame, cfg.chains())}
-	for c := range d.dpbs {
-		d.dpbs[c] = h264.NewDPB(cfg.NumRF)
-	}
-	return d, nil
+	return &Decoder{cfg: cfg, r: r, refs: newRefChains(cfg.chains(), cfg.NumRF)}, nil
 }
 
 // Config returns the sequence parameters parsed from the header.
@@ -157,9 +146,9 @@ func (d *Decoder) decodeIntra() (*h264.Frame, error) {
 	}
 	for mby := 0; mby < mbh; mby++ {
 		topY := sliceTopRow(starts, mby) * h264.MBSize
-		src := srcs[sliceIndex(starts, mby)]
+		lv := mbLevels{src: srcs[sliceIndex(starts, mby)]}
 		for mbx := 0; mbx < mbw; mbx++ {
-			if err := d.decodeIntraMB(src, recon, bi, mbx, mby, qp, topY); err != nil {
+			if err := d.decodeIntraMB(&lv, recon, bi, mbx, mby, qp, topY); err != nil {
 				return nil, err
 			}
 		}
@@ -172,18 +161,11 @@ func (d *Decoder) decodeIntra() (*h264.Frame, error) {
 	recon.Poc = d.poc
 	recon.IsIntra = true
 	d.poc++
-	// IDR semantics: flush every reference chain and its sub-frames, then
-	// seed all chains with the reconstruction, mirroring the encoder.
-	for c := range d.dpbs {
-		d.dpbs[c].Clear()
-		d.sfs[c] = nil
-		d.dpbs[c].Push(recon)
-	}
-	d.sinceIntra = 0
+	d.refs.idr(recon)
 	return recon, nil
 }
 
-func (d *Decoder) decodeIntraMB(src blockSource, recon *h264.Frame, bi *deblock.BlockInfo, mbx, mby, qp, topY int) error {
+func (d *Decoder) decodeIntraMB(lv *mbLevels, recon *h264.Frame, bi *deblock.BlockInfo, mbx, mby, qp, topY int) error {
 	x0, y0 := mbx*h264.MBSize, mby*h264.MBSize
 	modeRaw, err := d.r.ReadUE()
 	if err != nil {
@@ -195,62 +177,22 @@ func (d *Decoder) decodeIntraMB(src blockSource, recon *h264.Frame, bi *deblock.
 	if (modeRaw == intraVertical && y0 == topY) || (modeRaw == intraHorizontal && x0 == 0) {
 		return fmt.Errorf("%w: intra mode %d without neighbours", ErrBadStream, modeRaw)
 	}
-	var pred [256]uint8
-	buildIntraPredSlice(recon.Y, x0, y0, int(modeRaw), topY, &pred)
-	for by := 0; by < 4; by++ {
-		for bx := 0; bx < 4; bx++ {
-			var blk [16]int32
-			if err := src.readBlock(&blk); err != nil {
-				return err
-			}
-			nz := false
-			for _, v := range blk {
-				if v != 0 {
-					nz = true
-					break
-				}
-			}
-			dqInvReconPred(&blk, qp, recon.Y, x0+bx*4, y0+by*4, pred[:], bx*4, by*4, 16)
-			bi.SetBlock(mbx*4+bx, mby*4+by, nz, h264.MV{}, 0)
-		}
-	}
-	cx0, cy0 := x0/2, y0/2
-	for _, pl := range []*h264.Plane{recon.Cb, recon.Cr} {
-		dc := dcPredict(pl, cx0, cy0, 8, topY/2)
-		for by := 0; by < 2; by++ {
-			for bx := 0; bx < 2; bx++ {
-				var blk [16]int32
-				if err := src.readBlock(&blk); err != nil {
-					return err
-				}
-				dqInvRecon(&blk, qp, pl, cx0+bx*4, cy0+by*4, dc)
-			}
-		}
-	}
-	bi.SetIntra(mbx, mby, true)
-	return nil
+	var predY [256]uint8
+	var predCb, predCr [64]uint8
+	intraPred(recon, x0, y0, int(modeRaw), topY, &predY, &predCb, &predCr)
+	return reconMB(lv, recon, bi, nil, mbx, mby, &predY, &predCb, &predCr, qp)
 }
 
 func (d *Decoder) decodeInter() (*h264.Frame, error) {
-	chain := d.sinceIntra % len(d.dpbs)
-	dpb := d.dpbs[chain]
-	if dpb.Len() == 0 {
+	chain := d.refs.next()
+	if d.refs.dpb[chain].Len() == 0 {
 		return nil, fmt.Errorf("%w: inter frame before intra frame", ErrBadStream)
 	}
-	// Mirror the encoder's INT step: interpolate the chain's most recent
-	// reference.
+	// The encoder's INT step: interpolate the chain's most recent reference.
 	newSF := interp.NewSubFrame(d.cfg.Width, d.cfg.Height)
-	interp.Interpolate(dpb.Ref(0).Y, newSF)
-	d.sfs[chain] = append([]*interp.SubFrame{newSF}, d.sfs[chain]...)
-	if len(d.sfs[chain]) > dpb.Len() {
-		d.sfs[chain] = d.sfs[chain][:dpb.Len()]
-	}
-	sfs := make([]*interp.SubFrame, d.cfg.NumRF)
-	copy(sfs, d.sfs[chain])
-	refs := make([]*h264.Frame, dpb.Len())
-	for i := range refs {
-		refs[i] = dpb.Ref(i)
-	}
+	interp.Interpolate(d.refs.dpb[chain].Ref(0).Y, newSF)
+	d.refs.installSF(chain, newSF)
+	refs, sfs := d.refs.lists(chain)
 
 	qpDelta, err := d.r.ReadSE()
 	if err != nil {
@@ -272,10 +214,15 @@ func (d *Decoder) decodeInter() (*h264.Frame, error) {
 		return nil, err
 	}
 	repMV := make([]h264.MV, mbw*mbh)
+	// The longest quarter-pel vector an encoder can signal: the integer
+	// search range, then SME's half- and quarter-pel steps. MC reads the
+	// reference padding unchecked, and Config.Validate sized the padding for
+	// exactly this reach.
+	mvMax := int32(4*d.cfg.SearchRange + 3)
 
 	for mby := 0; mby < mbh; mby++ {
 		topRow := sliceTopRow(starts, mby)
-		src := srcs[sliceIndex(starts, mby)]
+		lv := mbLevels{src: srcs[sliceIndex(starts, mby)]}
 		for mbx := 0; mbx < mbw; mbx++ {
 			modeRaw, err := d.r.ReadUE()
 			if err != nil {
@@ -294,8 +241,8 @@ func (d *Decoder) decodeInter() (*h264.Frame, error) {
 				if err != nil {
 					return nil, err
 				}
-				if int(ref) >= dpb.Len() {
-					return nil, fmt.Errorf("%w: reference %d of %d", ErrBadStream, ref, dpb.Len())
+				if int(ref) >= len(refs) {
+					return nil, fmt.Errorf("%w: reference %d of %d", ErrBadStream, ref, len(refs))
 				}
 				mvdx, err := d.r.ReadSE()
 				if err != nil {
@@ -305,15 +252,21 @@ func (d *Decoder) decodeInter() (*h264.Frame, error) {
 				if err != nil {
 					return nil, err
 				}
+				// Widen before adding: a hostile difference must fail the
+				// range check, not wrap int16 back into range.
+				mvx, mvy := int32(pred.X)+mvdx, int32(pred.Y)+mvdy
+				if mvx < -mvMax || mvx > mvMax || mvy < -mvMax || mvy > mvMax {
+					return nil, fmt.Errorf("%w: motion vector (%d,%d) beyond ±%d", ErrBadStream, mvx, mvy, mvMax)
+				}
 				dec.Ref[k] = uint8(ref)
-				dec.MV[k] = h264.MV{X: pred.X + int16(mvdx), Y: pred.Y + int16(mvdy)}
+				dec.MV[k] = h264.MV{X: int16(mvx), Y: int16(mvy)}
 			}
 			repMV[mby*mbw+mbx] = dec.MV[0]
 
 			var predY [256]uint8
 			var predCb, predCr [64]uint8
 			mc.PredictMB(&dec, sfs, refs, mbx, mby, &predY, &predCb, &predCr)
-			if err := d.decodeInterMB(src, recon, bi, &dec, mbx, mby, &predY, &predCb, &predCr, qp); err != nil {
+			if err := reconMB(&lv, recon, bi, &dec, mbx, mby, &predY, &predCb, &predCr, qp); err != nil {
 				return nil, err
 			}
 		}
@@ -325,49 +278,6 @@ func (d *Decoder) decodeInter() (*h264.Frame, error) {
 	}
 	recon.Poc = d.poc
 	d.poc++
-	dpb.Push(recon)
-	d.sinceIntra++
+	d.refs.push(chain, recon)
 	return recon, nil
-}
-
-func (d *Decoder) decodeInterMB(src blockSource, recon *h264.Frame, bi *deblock.BlockInfo,
-	dec *h264.MBDecision, mbx, mby int,
-	predY *[256]uint8, predCb, predCr *[64]uint8, qp int) error {
-
-	x0, y0 := mbx*h264.MBSize, mby*h264.MBSize
-	for by := 0; by < 4; by++ {
-		for bx := 0; bx < 4; bx++ {
-			var blk [16]int32
-			if err := src.readBlock(&blk); err != nil {
-				return err
-			}
-			nz := false
-			for _, v := range blk {
-				if v != 0 {
-					nz = true
-					break
-				}
-			}
-			dqInvReconPred(&blk, qp, recon.Y, x0+bx*4, y0+by*4, predY[:], bx*4, by*4, 16)
-			k := partForBlock(dec.Mode, bx, by)
-			bi.SetBlock(mbx*4+bx, mby*4+by, nz, dec.MV[k], dec.Ref[k])
-		}
-	}
-	cx0, cy0 := x0/2, y0/2
-	for _, pl := range []struct {
-		dst  *h264.Plane
-		pred *[64]uint8
-	}{{recon.Cb, predCb}, {recon.Cr, predCr}} {
-		for by := 0; by < 2; by++ {
-			for bx := 0; bx < 2; bx++ {
-				var blk [16]int32
-				if err := src.readBlock(&blk); err != nil {
-					return err
-				}
-				dqInvReconPred(&blk, qp, pl.dst, cx0+bx*4, cy0+by*4, pl.pred[:], bx*4, by*4, 8)
-			}
-		}
-	}
-	bi.SetIntra(mbx, mby, false)
-	return nil
 }

@@ -11,28 +11,15 @@ import (
 	"feves/internal/h264/sme"
 )
 
-// Encoder is the stateful sequence encoder. It owns one decoded-picture
-// buffer per reference chain, the per-reference SF structures and the
-// output bitstream writer.
+// Encoder is the stateful sequence encoder. It owns the reference chains
+// (the state its decoder reproduces) and the output bitstream writer.
 type Encoder struct {
-	cfg Config
-	w   *entropy.BitWriter
-	// dpbs[c] is chain c's decoded-picture buffer. A single-chain stream
-	// has exactly one; with two chains, inter frames alternate between
-	// them, so each chain holds the shared intra seed plus only its own
-	// reconstructed frames.
-	dpbs []*h264.DPB
-	// sfs[c][i] is the interpolated sub-frame of dpbs[c].Ref(i). At the
-	// start of a frame, the chain's most recent reference (index 0) has no
-	// sub-frame yet: the INT module produces it during that frame's τ1
-	// interval.
-	sfs    [][]*interp.SubFrame
-	frames int
-	// sinceIntra counts the inter frames completed since the last intra
-	// frame; it drives the serial path's round-robin chain assignment.
-	sinceIntra int
-	lastRecon  *h264.Frame
-	rc         *RateControl // nil when rate control is off
+	cfg       Config
+	w         *entropy.BitWriter
+	refs      *refChains
+	frames    int
+	lastRecon *h264.Frame
+	rc        *RateControl // nil when rate control is off
 }
 
 // NewEncoder creates an encoder and writes the sequence header.
@@ -43,11 +30,7 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	e := &Encoder{
 		cfg:  cfg,
 		w:    entropy.NewBitWriter(),
-		dpbs: make([]*h264.DPB, cfg.chains()),
-		sfs:  make([][]*interp.SubFrame, cfg.chains()),
-	}
-	for c := range e.dpbs {
-		e.dpbs[c] = h264.NewDPB(cfg.NumRF)
+		refs: newRefChains(cfg.chains(), cfg.NumRF),
 	}
 	if cfg.TargetBitsPerFrame > 0 {
 		rc, err := NewRateControl(cfg.TargetBitsPerFrame, cfg.PQP, 12, 51)
@@ -84,16 +67,13 @@ func (e *Encoder) FramesEncoded() int { return e.frames }
 // DPBLen returns the number of reference frames available to the next
 // serially encoded frame's chain — smaller than NumRF during the ramp-up
 // frames of Fig. 7(b).
-func (e *Encoder) DPBLen() int { return e.dpbs[e.nextChain()].Len() }
+func (e *Encoder) DPBLen() int { return e.DPBLenOn(e.refs.next()) }
 
 // DPBLenOn returns the number of reference frames available on one chain.
-func (e *Encoder) DPBLenOn(chain int) int { return e.dpbs[chain].Len() }
+func (e *Encoder) DPBLenOn(chain int) int { return e.refs.dpb[chain].Len() }
 
 // Chains returns the number of reference chains.
-func (e *Encoder) Chains() int { return len(e.dpbs) }
-
-// nextChain is the chain the next serially begun inter frame uses.
-func (e *Encoder) nextChain() int { return e.sinceIntra % len(e.dpbs) }
+func (e *Encoder) Chains() int { return len(e.refs.dpb) }
 
 // ShouldIntra reports whether the next frame must be intra coded: the
 // first frame of a sequence, or an IDR refresh point when IntraPeriod is
@@ -172,7 +152,7 @@ func (e *Encoder) checkFrame(cf *h264.Frame) error {
 // must hold at least one reference (i.e. the intra frame was already
 // encoded).
 func (e *Encoder) BeginFrame(cf *h264.Frame) *FrameJob {
-	return e.BeginFrameOn(cf, e.nextChain())
+	return e.BeginFrameOn(cf, e.refs.next())
 }
 
 // BeginFrameOn opens an inter-frame on an explicit reference chain — the
@@ -180,10 +160,10 @@ func (e *Encoder) BeginFrame(cf *h264.Frame) *FrameJob {
 // chains and the serial round-robin assignment (which only advances when a
 // frame *completes*) would hand both in-flight frames the same chain.
 func (e *Encoder) BeginFrameOn(cf *h264.Frame, chain int) *FrameJob {
-	if chain < 0 || chain >= len(e.dpbs) {
-		panic(fmt.Sprintf("codec: chain %d of %d", chain, len(e.dpbs)))
+	if chain < 0 || chain >= e.Chains() {
+		panic(fmt.Sprintf("codec: chain %d of %d", chain, e.Chains()))
 	}
-	if e.dpbs[chain].Len() == 0 {
+	if e.DPBLenOn(chain) == 0 {
 		panic("codec: BeginFrame before intra frame")
 	}
 	if err := e.checkFrame(cf); err != nil {
@@ -202,14 +182,14 @@ func (e *Encoder) BeginFrameOn(cf *h264.Frame, chain int) *FrameJob {
 // [rowLo, rowHi) against every reference available on the job's chain.
 // Safe to call concurrently on disjoint row ranges.
 func (e *Encoder) RunME(job *FrameJob, rowLo, rowHi int) {
-	me.SearchRowsAlgo(e.cfg.MEAlgo, job.CF, e.dpbs[job.Chain], e.cfg.MECfg(), job.ME, rowLo, rowHi)
+	me.SearchRowsAlgo(e.cfg.MEAlgo, job.CF, e.refs.dpb[job.Chain], e.cfg.MECfg(), job.ME, rowLo, rowHi)
 }
 
 // RunINT interpolates macroblock rows [rowLo, rowHi) of the chain's most
 // recent reference frame into the job's new sub-frame. Safe to call
 // concurrently on disjoint row ranges.
 func (e *Encoder) RunINT(job *FrameJob, rowLo, rowHi int) {
-	interp.InterpolateRows(e.dpbs[job.Chain].Ref(0).Y, job.NewSF, rowLo, rowHi)
+	interp.InterpolateRows(e.refs.dpb[job.Chain].Ref(0).Y, job.NewSF, rowLo, rowHi)
 }
 
 // CompleteINT is the τ1 host-side step: it extends the new sub-frame's
@@ -220,11 +200,7 @@ func (e *Encoder) CompleteINT(job *FrameJob) {
 		panic("codec: CompleteINT called twice")
 	}
 	job.NewSF.ExtendBorders()
-	c := job.Chain
-	e.sfs[c] = append([]*interp.SubFrame{job.NewSF}, e.sfs[c]...)
-	if len(e.sfs[c]) > e.dpbs[c].Len() {
-		e.sfs[c] = e.sfs[c][:e.dpbs[c].Len()]
-	}
+	e.refs.installSF(job.Chain, job.NewSF)
 	job.intComplete = true
 }
 
@@ -234,16 +210,7 @@ func (e *Encoder) RunSME(job *FrameJob, rowLo, rowHi int) {
 	if !job.intComplete {
 		panic("codec: RunSME before CompleteINT")
 	}
-	sfs := e.sfsPadded(job.Chain)
-	sme.RefineRows(job.CF, sfs, job.ME, job.SME, rowLo, rowHi)
-}
-
-// sfsPadded returns one chain's SF list padded with nils up to NumRF slots
-// for the DPB ramp-up frames.
-func (e *Encoder) sfsPadded(chain int) []*interp.SubFrame {
-	sfs := make([]*interp.SubFrame, e.cfg.NumRF)
-	copy(sfs, e.sfs[chain])
-	return sfs
+	sme.RefineRows(job.CF, e.refs.sf[job.Chain], job.ME, job.SME, rowLo, rowHi)
 }
 
 // LastRecon returns the most recently reconstructed reference frame (the
@@ -255,8 +222,8 @@ func (e *Encoder) LastRecon() *h264.Frame { return e.lastRecon }
 // before the chain is seeded) — the per-chain bit-exactness probe of the
 // frame-parallel tests.
 func (e *Encoder) ChainRecon(chain int) *h264.Frame {
-	if e.dpbs[chain].Len() == 0 {
+	if e.DPBLenOn(chain) == 0 {
 		return nil
 	}
-	return e.dpbs[chain].Ref(0)
+	return e.refs.dpb[chain].Ref(0)
 }

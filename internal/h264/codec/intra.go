@@ -5,7 +5,6 @@ import (
 	"feves/internal/h264/deblock"
 	"feves/internal/h264/entropy"
 	"feves/internal/h264/rd"
-	"feves/internal/h264/transform"
 )
 
 // EncodeIntraFrame codes cf as an I-frame using 16×16 (luma) and 8×8
@@ -28,9 +27,9 @@ func (e *Encoder) EncodeIntraFrame(cf *h264.Frame) (rd.FrameStats, error) {
 	hw, sinks := e.beginFrameEntropy(len(starts))
 	for mby := 0; mby < mbh; mby++ {
 		topY := sliceTopRow(starts, mby) * h264.MBSize
-		sink := sinks[sliceIndex(starts, mby)]
+		lv := mbLevels{cf: cf, sink: sinks[sliceIndex(starts, mby)]}
 		for mbx := 0; mbx < mbw; mbx++ {
-			codeIntraMB(hw, sink, cf, recon, bi, mbx, mby, qp, topY)
+			codeIntraMB(hw, &lv, recon, bi, mbx, mby, qp, topY)
 		}
 	}
 	e.assembleFrame(hw, sinks)
@@ -41,17 +40,8 @@ func (e *Encoder) EncodeIntraFrame(cf *h264.Frame) (rd.FrameStats, error) {
 	}
 	recon.Poc = cf.Poc
 	recon.IsIntra = true
-	// IDR semantics: an intra frame flushes every reference chain and the
-	// interpolated sub-frames, so prediction never crosses it, then seeds
-	// all chains with the same reconstruction — the shared root both
-	// chains' first inter frames predict from.
-	for c := range e.dpbs {
-		e.dpbs[c].Clear()
-		e.sfs[c] = nil
-		e.dpbs[c].Push(recon)
-	}
+	e.refs.idr(recon)
 	e.lastRecon = recon
-	e.sinceIntra = 0
 	e.frames++
 
 	y, cb, cr := rd.FramePSNR(cf, recon)
@@ -153,88 +143,28 @@ func chooseIntraMode(cf, recon *h264.Frame, x0, y0, minY int) int {
 	return best
 }
 
+// intraPred fills the prediction of an intra macroblock at luma (x0, y0)
+// from its already-reconstructed neighbours: luma in the signalled mode,
+// each chroma plane flat at its DC. minY is the first luma row of the
+// macroblock's slice.
+func intraPred(recon *h264.Frame, x0, y0, mode, minY int, predY *[256]uint8, predCb, predCr *[64]uint8) {
+	buildIntraPredSlice(recon.Y, x0, y0, mode, minY, predY)
+	cb := dcPredict(recon.Cb, x0/2, y0/2, 8, minY/2)
+	cr := dcPredict(recon.Cr, x0/2, y0/2, 8, minY/2)
+	for i := range predCb {
+		predCb[i], predCr[i] = cb, cr
+	}
+}
+
 // codeIntraMB codes one intra macroblock; the caller guarantees raster
 // order so that prediction sees the already-reconstructed neighbours.
 // topY is the first luma row of the macroblock's slice.
-func codeIntraMB(hw *entropy.BitWriter, sink blockSink, cf, recon *h264.Frame, bi *deblock.BlockInfo, mbx, mby, qp, topY int) {
+func codeIntraMB(hw *entropy.BitWriter, lv *mbLevels, recon *h264.Frame, bi *deblock.BlockInfo, mbx, mby, qp, topY int) {
 	x0, y0 := mbx*h264.MBSize, mby*h264.MBSize
-	mode := chooseIntraMode(cf, recon, x0, y0, topY)
+	mode := chooseIntraMode(lv.cf, recon, x0, y0, topY)
 	hw.WriteUE(uint32(mode))
-	var pred [256]uint8
-	buildIntraPredSlice(recon.Y, x0, y0, mode, topY, &pred)
-	for by := 0; by < 4; by++ {
-		for bx := 0; bx < 4; bx++ {
-			var blk [16]int32
-			for j := 0; j < 4; j++ {
-				for i := 0; i < 4; i++ {
-					blk[j*4+i] = int32(cf.Y.At(x0+bx*4+i, y0+by*4+j)) - int32(pred[(by*4+j)*16+bx*4+i])
-				}
-			}
-			nz := transform.TQ(&blk, qp)
-			sink.writeBlock(&blk)
-			transform.TQInv(&blk, qp)
-			for j := 0; j < 4; j++ {
-				for i := 0; i < 4; i++ {
-					pv := pred[(by*4+j)*16+bx*4+i]
-					recon.Y.Set(x0+bx*4+i, y0+by*4+j, transform.Clip255(int32(pv)+blk[j*4+i]))
-				}
-			}
-			bi.SetBlock(mbx*4+bx, mby*4+by, nz > 0, h264.MV{}, 0)
-		}
-	}
-	// Chroma 8×8 with DC prediction per plane.
-	cx0, cy0 := x0/2, y0/2
-	for _, pl := range []struct{ src, dst *h264.Plane }{{cf.Cb, recon.Cb}, {cf.Cr, recon.Cr}} {
-		dc := dcPredict(pl.dst, cx0, cy0, 8, topY/2)
-		for by := 0; by < 2; by++ {
-			for bx := 0; bx < 2; bx++ {
-				var blk [16]int32
-				for j := 0; j < 4; j++ {
-					for i := 0; i < 4; i++ {
-						blk[j*4+i] = int32(pl.src.At(cx0+bx*4+i, cy0+by*4+j)) - int32(dc)
-					}
-				}
-				transform.TQ(&blk, qp)
-				sink.writeBlock(&blk)
-				transform.TQInv(&blk, qp)
-				for j := 0; j < 4; j++ {
-					for i := 0; i < 4; i++ {
-						pl.dst.Set(cx0+bx*4+i, cy0+by*4+j, transform.Clip255(int32(dc)+blk[j*4+i]))
-					}
-				}
-			}
-		}
-	}
-	bi.SetIntra(mbx, mby, true)
-}
-
-// codeChroma transforms, codes and reconstructs the two 8×8 chroma blocks
-// of an inter macroblock.
-func codeChroma(sink blockSink, cf, recon *h264.Frame, mbx, mby int, predCb, predCr *[64]uint8, qp int) {
-	cx0, cy0 := mbx*8, mby*8
-	for _, pl := range []struct {
-		src, dst *h264.Plane
-		pred     *[64]uint8
-	}{{cf.Cb, recon.Cb, predCb}, {cf.Cr, recon.Cr, predCr}} {
-		for by := 0; by < 2; by++ {
-			for bx := 0; bx < 2; bx++ {
-				var blk [16]int32
-				for j := 0; j < 4; j++ {
-					for i := 0; i < 4; i++ {
-						px := pl.pred[(by*4+j)*8+bx*4+i]
-						blk[j*4+i] = int32(pl.src.At(cx0+bx*4+i, cy0+by*4+j)) - int32(px)
-					}
-				}
-				transform.TQ(&blk, qp)
-				sink.writeBlock(&blk)
-				transform.TQInv(&blk, qp)
-				for j := 0; j < 4; j++ {
-					for i := 0; i < 4; i++ {
-						px := pl.pred[(by*4+j)*8+bx*4+i]
-						pl.dst.Set(cx0+bx*4+i, cy0+by*4+j, transform.Clip255(int32(px)+blk[j*4+i]))
-					}
-				}
-			}
-		}
-	}
+	var predY [256]uint8
+	var predCb, predCr [64]uint8
+	intraPred(recon, x0, y0, mode, topY, &predY, &predCb, &predCr)
+	_ = reconMB(lv, recon, bi, nil, mbx, mby, &predY, &predCb, &predCr, qp) // only a decoder's levels can fail
 }

@@ -6,7 +6,6 @@ import (
 	"feves/internal/h264/entropy"
 	"feves/internal/h264/mc"
 	"feves/internal/h264/rd"
-	"feves/internal/h264/transform"
 )
 
 // filterRecon deblocks a reconstructed frame, filtering the three planes
@@ -61,12 +60,7 @@ func (e *Encoder) runRStar(job *FrameJob, ways int) rd.FrameStats {
 	bi := deblock.NewBlockInfo(cf.W, cf.H)
 	mbw, mbh := cf.MBWidth(), cf.MBHeight()
 
-	dpb := e.dpbs[job.Chain]
-	refs := make([]*h264.Frame, dpb.Len())
-	for i := range refs {
-		refs[i] = dpb.Ref(i)
-	}
-	sfs := e.sfsPadded(job.Chain)
+	refs, sfs := e.refs.lists(job.Chain)
 
 	e.w.WriteUE(1)                     // frame type: P
 	e.w.WriteSE(int32(qp - e.cfg.PQP)) // per-frame QP delta (rate control)
@@ -79,7 +73,7 @@ func (e *Encoder) runRStar(job *FrameJob, ways int) rd.FrameStats {
 	repMV := make([]h264.MV, mbw*mbh)
 	for mby := 0; mby < mbh; mby++ {
 		topRow := sliceTopRow(starts, mby)
-		sink := sinks[sliceIndex(starts, mby)]
+		lv := mbLevels{cf: cf, sink: sinks[sliceIndex(starts, mby)]}
 		for mbx := 0; mbx < mbw; mbx++ {
 			d := dec.At(mbx, mby)
 			// Macroblock header: mode, then per-partition ref and MVD
@@ -96,7 +90,7 @@ func (e *Encoder) runRStar(job *FrameJob, ways int) rd.FrameStats {
 			var predY [256]uint8
 			var predCb, predCr [64]uint8
 			mc.PredictMB(d, sfs, refs, mbx, mby, &predY, &predCb, &predCr)
-			codeInterMB(sink, cf, recon, bi, d, mbx, mby, &predY, &predCb, &predCr, qp)
+			_ = reconMB(&lv, recon, bi, d, mbx, mby, &predY, &predCb, &predCr, qp) // only a decoder's levels can fail
 		}
 	}
 	e.assembleFrame(hw, sinks)
@@ -106,10 +100,9 @@ func (e *Encoder) runRStar(job *FrameJob, ways int) rd.FrameStats {
 		e.w.WriteBits(reconCRC(recon), 32)
 	}
 	recon.Poc = cf.Poc
-	dpb.Push(recon)
+	e.refs.push(job.Chain, recon)
 	e.lastRecon = recon
 	e.frames++
-	e.sinceIntra++
 
 	y, cb, cr := rd.FramePSNR(cf, recon)
 	bits := e.w.Len() - startBits
@@ -183,38 +176,4 @@ func (e *Encoder) assembleFrame(hw *entropy.BitWriter, sinks []blockSink) {
 		return
 	}
 	e.w.AlignByte()
-}
-
-// codeInterMB transforms, quantizes, entropy-codes and reconstructs the
-// residual of one inter macroblock, recording the deblocking block state.
-func codeInterMB(sink blockSink, cf, recon *h264.Frame, bi *deblock.BlockInfo,
-	d *h264.MBDecision, mbx, mby int,
-	predY *[256]uint8, predCb, predCr *[64]uint8, qp int) {
-
-	x0, y0 := mbx*h264.MBSize, mby*h264.MBSize
-	// Luma: sixteen 4×4 blocks in raster order.
-	for by := 0; by < 4; by++ {
-		for bx := 0; bx < 4; bx++ {
-			var blk [16]int32
-			for j := 0; j < 4; j++ {
-				for i := 0; i < 4; i++ {
-					px := predY[(by*4+j)*16+bx*4+i]
-					blk[j*4+i] = int32(cf.Y.At(x0+bx*4+i, y0+by*4+j)) - int32(px)
-				}
-			}
-			nz := transform.TQ(&blk, qp)
-			sink.writeBlock(&blk)
-			transform.TQInv(&blk, qp)
-			for j := 0; j < 4; j++ {
-				for i := 0; i < 4; i++ {
-					px := predY[(by*4+j)*16+bx*4+i]
-					recon.Y.Set(x0+bx*4+i, y0+by*4+j, transform.Clip255(int32(px)+blk[j*4+i]))
-				}
-			}
-			k := partForBlock(d.Mode, bx, by)
-			bi.SetBlock(mbx*4+bx, mby*4+by, nz > 0, d.MV[k], d.Ref[k])
-		}
-	}
-	codeChroma(sink, cf, recon, mbx, mby, predCb, predCr, qp)
-	bi.SetIntra(mbx, mby, false)
 }

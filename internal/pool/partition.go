@@ -29,12 +29,6 @@ func rowRate(p device.Profile, w device.Workload) float64 {
 	return 1 / per
 }
 
-// RowRate exposes the calibrated per-device row rate the partitioner
-// balances with. The fleet layer sums it over a node's up devices to get
-// the node capacity its third-level routing LP weighs nodes by — the same
-// yardstick at every level of the scheduling hierarchy.
-func RowRate(p device.Profile, w device.Workload) float64 { return rowRate(p, w) }
-
 // partitionDevices splits the platform's up devices (the base indices in
 // up, ascending) into disjoint non-empty subsets, one per demand,
 // minimizing the worst predicted per-session τtot ≈ rows / Σ leased

@@ -359,13 +359,15 @@ func TestHTTPSubmitBodyBounded(t *testing.T) {
 // hostileDimensions are specs whose frame size must be refused before any
 // size arithmetic: 2^32 × 2^32 wraps the I420 frame size to 0 (which used
 // to panic the YUV length check with a divide by zero), 2^30 × 2^30 used to
-// be admitted as a simulation, and the last two sit just past
-// codec.MaxDimension on one axis each.
+// be admitted as a simulation, the next two sit just past
+// codec.MaxDimension on one axis each, and the last asks for 2^40 frames —
+// admitted until MaxFrames, it would have held a session slot for years.
 var hostileDimensions = []struct{ body, field string }{
 	{`{"mode":"encode","width":4294967296,"height":4294967296,"yuv":"AQ=="}`, "width"},
 	{`{"mode":"simulate","width":1073741824,"height":1073741824,"frames":1}`, "width"},
 	{`{"mode":"simulate","width":16400,"height":16,"frames":1}`, "width"},
 	{`{"mode":"encode","width":16,"height":16400,"yuv":"AQ=="}`, "height"},
+	{`{"mode":"simulate","width":1920,"height":1088,"frames":1099511627776}`, "frames"},
 }
 
 // TestHTTPRejectsHostileDimensions posts them to POST /jobs: each is a 400

@@ -64,6 +64,12 @@ type JobSpec struct {
 	YUV []byte `json:"yuv,omitempty"`
 }
 
+// MaxFrames bounds the frames of one job or stream — ten hours of 30 fps
+// video. A simulate spec costs nothing to write, so without a ceiling
+// "frames": 1<<40 would hold a session slot for years and grow the job's
+// result list without end.
+const MaxFrames = 1 << 20
+
 func (sp JobSpec) withDefaults() JobSpec {
 	session.PaperDefaults(&sp.SearchArea, &sp.RefFrames, &sp.IQP, &sp.PQP)
 	return sp
@@ -110,6 +116,9 @@ func (sp JobSpec) validate() error {
 			return fmt.Errorf("serve: encode job needs YUV input in whole %d-byte frames, got %d bytes",
 				sp.frameBytes(), len(sp.YUV))
 		}
+	}
+	if n := sp.FrameCount(); n > MaxFrames {
+		return fmt.Errorf("serve: frames %d exceeds %d", n, MaxFrames)
 	}
 	return nil
 }
@@ -257,7 +266,7 @@ func (j *Job) remainingWeight() float64 {
 	if rem <= 0 {
 		return 0
 	}
-	return float64(j.spec.Workload().Rows() * rem)
+	return float64(j.spec.Workload().Rows()) * float64(rem)
 }
 
 // Status returns the job's current status document.

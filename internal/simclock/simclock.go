@@ -7,9 +7,8 @@
 //
 // The engine is virtual-time only: task durations come from calibrated
 // device profiles, so experiment results are reproducible on any machine.
-// Tasks may carry an optional functional payload (the real encoding kernel)
-// that runs when the task is scheduled, which is how functional and timing
-// simulation stay in lockstep.
+// Tasks carry no payload: the real kernels of a functional encode run in
+// codec.RunInter over the row ranges the schedule assigned.
 package simclock
 
 import (
@@ -42,7 +41,6 @@ type Task struct {
 	End   Time
 
 	deps []*Task
-	fn   func()
 	done bool
 }
 
@@ -120,13 +118,6 @@ func (s *Sim) Add(res *Resource, label string, dur Time, deps ...*Task) *Task {
 	return t
 }
 
-// OnRun attaches a functional payload executed exactly once when the task
-// is scheduled. Payloads run in deterministic schedule order.
-func (t *Task) OnRun(fn func()) *Task {
-	t.fn = fn
-	return t
-}
-
 // Run executes every submitted task and returns the makespan (the latest
 // end time). It is deterministic: ties are broken by resource registration
 // order.
@@ -155,9 +146,6 @@ func (s *Sim) Run() (Time, error) {
 				t.Start = start
 				t.End = start + t.Dur
 				r.avail = t.End
-				if t.fn != nil {
-					t.fn()
-				}
 				t.done = true
 				r.head++
 				remaining--

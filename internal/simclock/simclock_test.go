@@ -101,20 +101,6 @@ func TestOriginOffset(t *testing.T) {
 	}
 }
 
-func TestOnRunPayloadOrder(t *testing.T) {
-	s := New(0)
-	r := s.NewResource("r")
-	var order []string
-	a := s.Add(r, "a", 1).OnRun(func() { order = append(order, "a") })
-	s.Add(r, "b", 1, a).OnRun(func() { order = append(order, "b") })
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("payload order %v", order)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	// Two resources whose FIFO orders contradict the dependency edges.
 	s := New(0)
@@ -251,14 +237,14 @@ func TestResetRecyclesTasks(t *testing.T) {
 	if len(s.Tasks()) != 0 {
 		t.Fatalf("%d tasks survive Reset", len(s.Tasks()))
 	}
-	// The recycled objects must come back clean: no stale deps, done flag
-	// or payload from their previous life.
+	// The recycled objects must come back clean: no stale deps or done flag
+	// from their previous life.
 	c := s.Add(r, "c", 1)
 	d := s.Add(r, "d", 1, c)
 	if c != b || d != a {
 		t.Fatal("free list not reissuing recycled tasks (LIFO)")
 	}
-	if c.Done() || len(c.deps) != 0 || c.fn != nil {
+	if c.Done() || len(c.deps) != 0 {
 		t.Fatal("recycled task carries stale state")
 	}
 	mk, err := s.Run()
