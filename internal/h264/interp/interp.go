@@ -8,7 +8,8 @@
 // The kernel works on flat row slices with stride arithmetic: the unrounded
 // 6-tap intermediates are kept in pooled scratch buffers and every inner
 // loop walks contiguous memory, so the compiler can keep the filter taps in
-// registers and vectorize the straight-line quarter-pel averages.
+// registers. The last pass writes the 16 planes eight samples a step, the
+// quarter-pel ones as byte-parallel averages of two words.
 //
 // Interpolation is row-sliceable: InterpolateRows fills only the requested
 // macroblock rows and is bit-exact regardless of how rows are distributed
@@ -16,6 +17,7 @@
 package interp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -143,6 +145,9 @@ func InterpolateRows(ref *h264.Plane, sf *SubFrame, rowLo, rowHi int) {
 	if ref.W != sf.W || ref.H != sf.H {
 		panic(fmt.Sprintf("interp: ref %dx%d vs SF %dx%d", ref.W, ref.H, sf.W, sf.H))
 	}
+	if ref.W%h264.MBSize != 0 {
+		panic(fmt.Sprintf("interp: width %d is not a multiple of %d", ref.W, h264.MBSize))
+	}
 	yLo, yHi := rowLo*h264.MBSize, rowHi*h264.MBSize
 	if yLo < 0 || yHi > ref.H || yLo >= yHi {
 		panic(fmt.Sprintf("interp: bad row range [%d,%d)", rowLo, rowHi))
@@ -237,6 +242,10 @@ func InterpolateRows(ref *h264.Plane, sf *SubFrame, rowLo, rowHi int) {
 		}
 	}
 
+	// Eight samples a step: the four full- and half-pel planes are word
+	// copies, the twelve quarter-pel planes byte-parallel averages. Every
+	// row read at x+1 has a sample past w (ref's border, hp's column w).
+	le := binary.LittleEndian
 	var out [16][]uint8
 	for y := yLo; y < yHi; y++ {
 		for p := range out {
@@ -249,34 +258,42 @@ func InterpolateRows(ref *h264.Plane, sf *SubFrame, rowLo, rowHi int) {
 		bpDown := s.bp[(i+1)*w : (i+2)*w]
 		hpRow := s.hp[i*hw : (i+1)*hw]
 		jpRow := s.jp[i*w : (i+1)*w]
-		for x := 0; x < w; x++ {
-			G := uint32(rp[x])
-			Gr := uint32(rp[x+1])   // integer sample to the right
-			Gd := uint32(rpd[x])    // integer sample below
-			b := uint32(bpRow[x])   // (1/2, 0)
-			h := uint32(hpRow[x])   // (0, 1/2)
-			j := uint32(jpRow[x])   // (1/2, 1/2)
-			m := uint32(hpRow[x+1]) // h one integer column right
-			sv := uint32(bpDown[x]) // b one integer row down
+		for x := 0; x < w; x += 8 {
+			G := le.Uint64(rp[x:])
+			Gr := le.Uint64(rp[x+1:])   // integer samples to the right
+			Gd := le.Uint64(rpd[x:])    // integer samples below
+			b := le.Uint64(bpRow[x:])   // (1/2, 0)
+			h := le.Uint64(hpRow[x:])   // (0, 1/2)
+			j := le.Uint64(jpRow[x:])   // (1/2, 1/2)
+			m := le.Uint64(hpRow[x+1:]) // h one integer column right
+			sv := le.Uint64(bpDown[x:]) // b one integer row down
 
-			out[0][x] = uint8(G)                  // (0,0)
-			out[1][x] = uint8((G + b + 1) >> 1)   // a (1,0)
-			out[2][x] = uint8(b)                  // b (2,0)
-			out[3][x] = uint8((b + Gr + 1) >> 1)  // c (3,0)
-			out[4][x] = uint8((G + h + 1) >> 1)   // d (0,1)
-			out[5][x] = uint8((b + h + 1) >> 1)   // e (1,1)
-			out[6][x] = uint8((b + j + 1) >> 1)   // f (2,1)
-			out[7][x] = uint8((b + m + 1) >> 1)   // g (3,1)
-			out[8][x] = uint8(h)                  // h (0,2)
-			out[9][x] = uint8((h + j + 1) >> 1)   // i (1,2)
-			out[10][x] = uint8(j)                 // j (2,2)
-			out[11][x] = uint8((j + m + 1) >> 1)  // k (3,2)
-			out[12][x] = uint8((h + Gd + 1) >> 1) // n (0,3)
-			out[13][x] = uint8((h + sv + 1) >> 1) // p (1,3)
-			out[14][x] = uint8((j + sv + 1) >> 1) // q (2,3)
-			out[15][x] = uint8((m + sv + 1) >> 1) // r (3,3)
+			le.PutUint64(out[0][x:], G)            // (0,0)
+			le.PutUint64(out[1][x:], avg8(G, b))   // a (1,0)
+			le.PutUint64(out[2][x:], b)            // b (2,0)
+			le.PutUint64(out[3][x:], avg8(b, Gr))  // c (3,0)
+			le.PutUint64(out[4][x:], avg8(G, h))   // d (0,1)
+			le.PutUint64(out[5][x:], avg8(b, h))   // e (1,1)
+			le.PutUint64(out[6][x:], avg8(b, j))   // f (2,1)
+			le.PutUint64(out[7][x:], avg8(b, m))   // g (3,1)
+			le.PutUint64(out[8][x:], h)            // h (0,2)
+			le.PutUint64(out[9][x:], avg8(h, j))   // i (1,2)
+			le.PutUint64(out[10][x:], j)           // j (2,2)
+			le.PutUint64(out[11][x:], avg8(j, m))  // k (3,2)
+			le.PutUint64(out[12][x:], avg8(h, Gd)) // n (0,3)
+			le.PutUint64(out[13][x:], avg8(h, sv)) // p (1,3)
+			le.PutUint64(out[14][x:], avg8(j, sv)) // q (2,3)
+			le.PutUint64(out[15][x:], avg8(m, sv)) // r (3,3)
 		}
 	}
 
 	scratchPool.Put(s)
+}
+
+// avg8 returns the eight rounded-up byte averages (a+b+1)>>1 of two words.
+// a+b = 2(a&b) + (a^b) and a|b = (a&b) + (a^b), so the rounded-up half is
+// a|b less the rounded-down half of a^b; the mask keeps a byte's shift from
+// taking in its neighbour's low bit.
+func avg8(a, b uint64) uint64 {
+	return (a | b) - ((a^b)>>1)&0x7F7F7F7F7F7F7F7F
 }

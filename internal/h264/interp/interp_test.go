@@ -199,22 +199,34 @@ func TestInterpolatePanicsOnSizeMismatch(t *testing.T) {
 	Interpolate(randomPlane(32, 32, 8), NewSubFrame(16, 16))
 }
 
+func TestInterpolatePanicsOnPartialMacroblockWidth(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a width that is not a macroblock multiple")
+		}
+	}()
+	Interpolate(randomPlane(24, 32, 9), NewSubFrame(24, 32))
+}
+
 func TestInterpolateRowsMatchesReference(t *testing.T) {
 	// The flat-scratch kernel must be bit-exact with the retained
-	// accessor-per-sample oracle, including on partial row ranges.
-	ref := randomPlane(80, 64, 90)
-	fast := NewSubFrame(80, 64)
-	slow := NewSubFrame(80, 64)
-	InterpolateRows(ref, fast, 0, 4)
-	InterpolateRowsRef(ref, slow, 0, 4)
-	if !fast.Equal(slow) {
-		t.Fatal("flat-scratch interpolation differs from reference")
-	}
-	fast2 := NewSubFrame(80, 64)
-	slow2 := NewSubFrame(80, 64)
-	InterpolateRows(ref, fast2, 1, 3)
-	InterpolateRowsRef(ref, slow2, 1, 3)
-	if !fast2.EqualRows(slow2, 1, 3) {
-		t.Fatal("partial-range interpolation differs from reference")
+	// accessor-per-sample oracle: on whole frames, on row slices that start
+	// and end mid-frame, and on a plane one macroblock wide, where the last
+	// eight-sample step reads its x+1 words at the right edge.
+	for _, c := range []struct{ w, h, rowLo, rowHi int }{
+		{80, 64, 0, 4},
+		{80, 64, 1, 3},
+		{80, 64, 2, 3},
+		{16, 48, 0, 3},
+		{16, 48, 1, 2},
+	} {
+		ref := randomPlane(c.w, c.h, 90)
+		fast := NewSubFrame(c.w, c.h)
+		slow := NewSubFrame(c.w, c.h)
+		InterpolateRows(ref, fast, c.rowLo, c.rowHi)
+		InterpolateRowsRef(ref, slow, c.rowLo, c.rowHi)
+		if !fast.EqualRows(slow, c.rowLo, c.rowHi) {
+			t.Fatalf("%dx%d rows [%d,%d): interpolation differs from reference", c.w, c.h, c.rowLo, c.rowHi)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package me
 
 import (
-	"fmt"
-	"math"
 	"sync/atomic"
 
 	"feves/internal/h264"
@@ -39,54 +37,59 @@ func (a Algorithm) String() string {
 	return "invalid"
 }
 
-// SearchRowsAlgo runs integer motion estimation with the chosen algorithm.
-// FullSearch delegates to SearchRows; the fast algorithms estimate each of
-// the 41 partitions independently from a shared macroblock-level search,
-// remaining row-sliceable like the full search.
+// SearchRowsAlgo runs integer motion estimation with the chosen algorithm
+// over macroblock rows [rowLo, rowHi): the full search, or a fast one that
+// finds one macroblock-level vector and refines the 41 partitions around it.
+// Every algorithm is row-sliceable.
 func SearchRowsAlgo(algo Algorithm, cf *h264.Frame, dpb *h264.DPB, cfg Config, field *h264.MVField, rowLo, rowHi int) {
-	if algo == FullSearch {
-		SearchRows(cf, dpb, cfg, field, rowLo, rowHi)
-		return
-	}
-	if cfg.SearchRange < 1 || cfg.SearchRange > h264.DefaultPad-8 {
-		panic(fmt.Sprintf("me: search range %d invalid", cfg.SearchRange))
-	}
-	if field.MBW != cf.MBWidth() || field.MBH != cf.MBHeight() {
-		panic("me: MV field does not match frame geometry")
-	}
-	if rowLo < 0 || rowHi > cf.MBHeight() || rowLo >= rowHi {
-		panic(fmt.Sprintf("me: bad row range [%d,%d)", rowLo, rowHi))
-	}
+	checkSearchArgs(cf, cfg, field, rowLo, rowHi)
 	nrf := dpb.Len()
 	if nrf > field.NumRF {
 		nrf = field.NumRF
 	}
+	// The eval counter is accumulated locally and published with a single
+	// atomic add per call: one cache-line ping-pong per row slice instead
+	// of one per (macroblock, reference).
+	var evals int
 	for mby := rowLo; mby < rowHi; mby++ {
 		for mbx := 0; mbx < cf.MBWidth(); mbx++ {
 			for rf := 0; rf < field.NumRF; rf++ {
-				if rf >= nrf {
+				switch {
+				case rf >= nrf:
 					markUnusable(field, mbx, mby, rf)
-					continue
-				}
-				n := fastSearchMB(algo, cf.Y, dpb.Ref(rf).Y, cfg.SearchRange, field, mbx, mby, rf)
-				if cfg.Evals != nil {
-					atomic.AddInt64(cfg.Evals, int64(n))
+				case algo == FullSearch:
+					evals += searchMB(cf.Y, dpb.Ref(rf).Y, cfg.SearchRange, field, mbx, mby, rf)
+				default:
+					evals += fastSearchMB(algo, cf.Y, dpb.Ref(rf).Y, cfg.SearchRange, field, mbx, mby, rf)
 				}
 			}
 		}
 	}
+	if cfg.Evals != nil && evals != 0 {
+		atomic.AddInt64(cfg.Evals, int64(evals))
+	}
 }
 
 // fastSearchMB finds a macroblock-level vector with the fast pattern, then
-// assigns per-partition vectors by evaluating each partition's SAD at that
-// vector and its small-diamond neighbours. It returns the number of
-// macroblock-level SAD evaluations performed.
+// gives every partition the best of that vector and its small-diamond
+// neighbours. Both steps go through the full search's blockSADs; the second
+// also through its fold. It returns the number of macroblock-level SAD
+// evaluations performed.
 func fastSearchMB(algo Algorithm, cur, ref *h264.Plane, r int, field *h264.MVField, mbx, mby, rf int) int {
 	x0, y0 := mbx*h264.MBSize, mby*h264.MBSize
+	var lanes mbLanes
+	lanes.load(cur, x0, y0)
+	refRaw, stride := ref.Raw(), ref.Stride
+	var blk [16]uint32
 	evals := 0
 	cost16 := func(dx, dy int) int32 {
 		evals++
-		return SAD(cur, ref, x0, y0, x0+dx, y0+dy, 16, 16)
+		blockSADs(&lanes, refRaw[ref.Idx(x0+dx, y0+dy):], stride, &blk)
+		var sum uint32
+		for _, s := range blk {
+			sum += s
+		}
+		return int32(sum)
 	}
 
 	var bx, by int
@@ -101,25 +104,20 @@ func fastSearchMB(algo Algorithm, cur, ref *h264.Plane, r int, field *h264.MVFie
 
 	// Per-partition refinement around the macroblock vector: the candidate
 	// set is the MB vector plus the 4-connected neighbours, clamped to the
-	// search range.
+	// search range. A neighbour clamped onto an earlier candidate ties with
+	// it everywhere and so never wins.
 	cands := [5][2]int{{bx, by}, {bx + 1, by}, {bx - 1, by}, {bx, by + 1}, {bx, by - 1}}
-	for _, mode := range h264.AllModes() {
-		w, h := mode.Size()
-		for k := 0; k < mode.Count(); k++ {
-			ox, oy := mode.Offset(k)
-			px, py := x0+ox, y0+oy
-			best := int32(math.MaxInt32)
-			var bmv h264.MV
-			for _, c := range cands {
-				dx, dy := clampRange(c[0], r), clampRange(c[1], r)
-				s := SAD(cur, ref, px, py, px+dx, py+dy, w, h)
-				if s < best {
-					best = s
-					bmv = h264.MV{X: int16(dx), Y: int16(dy)}
-				}
-			}
-			field.Set(mbx, mby, mode.Base()+k, rf, bmv, best)
-		}
+	var best bestKeys
+	best.reset()
+	for i := range cands {
+		c := &cands[i]
+		c[0], c[1] = clampRange(c[0], r), clampRange(c[1], r)
+		blockSADs(&lanes, refRaw[ref.Idx(x0+c[0], y0+c[1]):], stride, &blk)
+		best.fold(&blk, uint64(i))
+	}
+	for part := range best {
+		i, sad := best.at(part)
+		field.Set(mbx, mby, part, rf, h264.MV{X: int16(cands[i][0]), Y: int16(cands[i][1])}, sad)
 	}
 	return evals
 }

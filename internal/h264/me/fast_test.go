@@ -24,6 +24,81 @@ func smoothScene(w, h int) *h264.Frame {
 	return f
 }
 
+// searchRowsAlgoRef is the oracle for the fast searches, written with SADRef
+// and sharing nothing with blockSADs/fold: the macroblock-level pattern on
+// the 16×16 SAD, then every partition on its own over the five clamped
+// candidates, first-best under strict "<".
+func searchRowsAlgoRef(algo Algorithm, cf *h264.Frame, dpb *h264.DPB, cfg Config, field *h264.MVField, rowLo, rowHi int) {
+	if algo == FullSearch {
+		SearchRowsRef(cf, dpb, cfg, field, rowLo, rowHi)
+		return
+	}
+	r := cfg.SearchRange
+	for mby := rowLo; mby < rowHi; mby++ {
+		for mbx := 0; mbx < cf.MBWidth(); mbx++ {
+			for rf := 0; rf < field.NumRF; rf++ {
+				if rf >= dpb.Len() {
+					markUnusable(field, mbx, mby, rf)
+					continue
+				}
+				cur, ref := cf.Y, dpb.Ref(rf).Y
+				x0, y0 := mbx*h264.MBSize, mby*h264.MBSize
+				cost16 := func(dx, dy int) int32 {
+					return SADRef(cur, ref, x0, y0, x0+dx, y0+dy, 16, 16)
+				}
+				var bx, by int
+				if algo == ThreeStep {
+					bx, by = threeStep(cost16, r)
+				} else {
+					bx, by = diamond(cost16, r)
+				}
+				cands := [5][2]int{{bx, by}, {bx + 1, by}, {bx - 1, by}, {bx, by + 1}, {bx, by - 1}}
+				for _, mode := range h264.AllModes() {
+					w, h := mode.Size()
+					for k := 0; k < mode.Count(); k++ {
+						ox, oy := mode.Offset(k)
+						px, py := x0+ox, y0+oy
+						best := int32(math.MaxInt32)
+						var bmv h264.MV
+						for _, c := range cands {
+							dx, dy := clampRange(c[0], r), clampRange(c[1], r)
+							if s := SADRef(cur, ref, px, py, px+dx, py+dy, w, h); s < best {
+								best = s
+								bmv = h264.MV{X: int16(dx), Y: int16(dy)}
+							}
+						}
+						field.Set(mbx, mby, mode.Base()+k, rf, bmv, best)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestFastSearchMatchesPartitionReference(t *testing.T) {
+	// Search ranges 1 and 2 clamp the refinement candidates onto each
+	// other, so the tie-break between duplicates is exercised; the first
+	// frame of each run has one of its two references still ramping up.
+	cur := randomFrame(64, 48, 50)
+	refs := []*h264.Frame{randomFrame(64, 48, 51), shiftedFrame(cur, 1, -1)}
+	for _, algo := range []Algorithm{ThreeStep, Diamond} {
+		for _, r := range []int{1, 2, 8} {
+			dpb := h264.NewDPB(2)
+			for _, ref := range refs {
+				dpb.Push(ref)
+				cfg := Config{SearchRange: r}
+				got := h264.NewMVField(cur.MBWidth(), cur.MBHeight(), 2)
+				want := h264.NewMVField(cur.MBWidth(), cur.MBHeight(), 2)
+				SearchRowsAlgo(algo, cur, dpb, cfg, got, 0, cur.MBHeight())
+				searchRowsAlgoRef(algo, cur, dpb, cfg, want, 0, cur.MBHeight())
+				if !got.Equal(want) {
+					t.Fatalf("%v range %d with %d reference(s): field differs from the per-partition reference", algo, r, dpb.Len())
+				}
+			}
+		}
+	}
+}
+
 func TestFastAlgosFindGlobalTranslation(t *testing.T) {
 	ref := smoothScene(96, 96)
 	for _, algo := range []Algorithm{ThreeStep, Diamond} {
@@ -54,7 +129,7 @@ func TestFastAlgosNeverWorseThanZeroMV(t *testing.T) {
 		SearchRowsAlgo(algo, cur, dpb, Config{SearchRange: 8}, field, 0, cur.MBHeight())
 		for mby := 0; mby < cur.MBHeight(); mby++ {
 			for mbx := 0; mbx < cur.MBWidth(); mbx++ {
-				zero := SAD(cur.Y, ref.Y, mbx*16, mby*16, mbx*16, mby*16, 16, 16)
+				zero := SADRef(cur.Y, ref.Y, mbx*16, mby*16, mbx*16, mby*16, 16, 16)
 				_, cost := field.Get(mbx, mby, 0, 0)
 				if cost > zero {
 					t.Fatalf("%v MB(%d,%d): %d worse than zero-MV %d", algo, mbx, mby, cost, zero)

@@ -4,14 +4,20 @@
 // integer-pel motion vector and SAD for each of the 41 partitions (7
 // partitioning modes) of every macroblock.
 //
-// The kernel uses the classic SAD-reuse decomposition: for every candidate
-// displacement it computes the sixteen 4×4 SADs of the macroblock once and
-// aggregates them bottom-up into the 8×4, 4×8, 8×8, 16×8, 8×16 and 16×16
-// partition SADs, so the full partition tree costs barely more than a
-// single 16×16 search. The inner loop is branch-free: eight samples are
-// loaded at a time and their absolute differences computed in the 16-bit
-// lanes of a uint64 (SWAR), which is what the paper's optimized CPU kernels
-// get from SSE and the GPU kernels from coalesced uchar4 loads.
+// One kernel serves the full search and the fast ones, in two steps per
+// candidate displacement. blockSADs computes the sixteen 4×4 SADs of the
+// macroblock: the current macroblock is split once into 16-bit SWAR lanes
+// (even and odd samples of each eight, the lane bias already applied), a
+// candidate's reference rows are differenced against them eight samples a
+// word, four rows accumulate in the lanes, and each 4-row band is reduced
+// horizontally once. bestKeys.fold is the classic SAD-reuse decomposition:
+// it aggregates the sixteen bottom-up into the 8×4, 4×8, 8×8, 16×8, 8×16
+// and 16×16 partition SADs, so the full partition tree costs barely more
+// than a single 16×16 search, and keeps the 41 running minima as packed
+// (SAD, scan position) keys whose plain minimum is the first-best candidate
+// in scan order. Neither step branches on sample values: the work per
+// candidate is constant, which is what makes a row's cost predictable for
+// the load balancer.
 //
 // SearchRows is row-sliceable and reads only the current frame and the
 // (read-only) reference planes, so any cross-device row distribution is
@@ -22,7 +28,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"feves/internal/h264"
 )
@@ -68,31 +73,7 @@ func (c Config) Candidates() int {
 // field. Entries for reference indexes ≥ dpb.Len() (the DPB ramp-up frames)
 // are marked unusable with cost math.MaxInt32.
 func SearchRows(cf *h264.Frame, dpb *h264.DPB, cfg Config, field *h264.MVField, rowLo, rowHi int) {
-	checkSearchArgs(cf, cfg, field, rowLo, rowHi)
-	nrf := dpb.Len()
-	if nrf > field.NumRF {
-		nrf = field.NumRF
-	}
-	// The eval counter is accumulated locally and published with a single
-	// atomic add per call: one cache-line ping-pong per row slice instead
-	// of one per (macroblock, reference).
-	perSearch := int64(cfg.Candidates())
-	var evals int64
-	for mby := rowLo; mby < rowHi; mby++ {
-		for mbx := 0; mbx < cf.MBWidth(); mbx++ {
-			for rf := 0; rf < field.NumRF; rf++ {
-				if rf < nrf {
-					searchMB(cf.Y, dpb.Ref(rf).Y, cfg.SearchRange, field, mbx, mby, rf)
-					evals += perSearch
-				} else {
-					markUnusable(field, mbx, mby, rf)
-				}
-			}
-		}
-	}
-	if cfg.Evals != nil && evals != 0 {
-		atomic.AddInt64(cfg.Evals, evals)
-	}
+	SearchRowsAlgo(FullSearch, cf, dpb, cfg, field, rowLo, rowHi)
 }
 
 func checkSearchArgs(cf *h264.Frame, cfg Config, field *h264.MVField, rowLo, rowHi int) {
@@ -116,137 +97,154 @@ func markUnusable(field *h264.MVField, mbx, mby, rf int) {
 	}
 }
 
-// searchMB exhaustively searches one macroblock in one reference frame.
-func searchMB(cur, ref *h264.Plane, r int, field *h264.MVField, mbx, mby, rf int) {
+// searchMB exhaustively searches one macroblock in one reference frame and
+// returns the number of candidates evaluated, (2r)² whatever the content.
+func searchMB(cur, ref *h264.Plane, r int, field *h264.MVField, mbx, mby, rf int) int {
 	x0, y0 := mbx*h264.MBSize, mby*h264.MBSize
+	var lanes mbLanes
+	lanes.load(cur, x0, y0)
+	var best bestKeys
+	best.reset()
 
-	var best [h264.TotalPartitions]int32
-	var bestMV [h264.TotalPartitions]h264.MV
-	for i := range best {
-		best[i] = math.MaxInt32
-	}
-
-	curRaw, refRaw := cur.Raw(), ref.Raw()
-	refStride := ref.Stride
-
-	// Load the sixteen current-MB rows once as uint64 pairs; they are
-	// reused by all (2r)² candidates.
-	var curLo, curHi [16]uint64
-	for y := 0; y < 16; y++ {
-		row := curRaw[cur.Idx(x0, y0+y):]
-		curLo[y] = binary.LittleEndian.Uint64(row)
-		curHi[y] = binary.LittleEndian.Uint64(row[8:])
-	}
-
+	refRaw, stride := ref.Raw(), ref.Stride
+	side := 2 * r
+	var blk [16]uint32
+	scan := uint64(0)
 	for dy := -r; dy < r; dy++ {
-		for dx := -r; dx < r; dx++ {
-			// Sixteen 4×4 SADs for this candidate, eight samples per step.
-			var blk4 [16]int32
-			refBase := ref.Idx(x0+dx, y0+dy)
-			for y := 0; y < 16; y++ {
-				row := refRaw[refBase+y*refStride:]
-				rLo := binary.LittleEndian.Uint64(row)
-				rHi := binary.LittleEndian.Uint64(row[8:])
-				bi := (y >> 2) * 4
-				a, b := h264.SADPair8(curLo[y], rLo)
-				c, d := h264.SADPair8(curHi[y], rHi)
-				blk4[bi] += a
-				blk4[bi+1] += b
-				blk4[bi+2] += c
-				blk4[bi+3] += d
-			}
-
-			// Bottom-up aggregation into all partition SADs.
-			var s8x4 [8]int32
-			for row := 0; row < 4; row++ {
-				s8x4[row*2] = blk4[row*4] + blk4[row*4+1]
-				s8x4[row*2+1] = blk4[row*4+2] + blk4[row*4+3]
-			}
-			var s4x8 [8]int32
-			for half := 0; half < 2; half++ {
-				for col := 0; col < 4; col++ {
-					s4x8[half*4+col] = blk4[(2*half)*4+col] + blk4[(2*half+1)*4+col]
-				}
-			}
-			var s8x8 [4]int32
-			s8x8[0] = s8x4[0] + s8x4[2]
-			s8x8[1] = s8x4[1] + s8x4[3]
-			s8x8[2] = s8x4[4] + s8x4[6]
-			s8x8[3] = s8x4[5] + s8x4[7]
-			s16x8 := [2]int32{s8x8[0] + s8x8[1], s8x8[2] + s8x8[3]}
-			s8x16 := [2]int32{s8x8[0] + s8x8[2], s8x8[1] + s8x8[3]}
-			s16x16 := s16x8[0] + s16x8[1]
-
-			mv := h264.MV{X: int16(dx), Y: int16(dy)}
-			update(&best, &bestMV, h264.Part16x16.Base(), mv, s16x16)
-			updateSlice(&best, &bestMV, h264.Part16x8.Base(), mv, s16x8[:])
-			updateSlice(&best, &bestMV, h264.Part8x16.Base(), mv, s8x16[:])
-			updateSlice(&best, &bestMV, h264.Part8x8.Base(), mv, s8x8[:])
-			updateSlice(&best, &bestMV, h264.Part8x4.Base(), mv, s8x4[:])
-			updateSlice(&best, &bestMV, h264.Part4x8.Base(), mv, s4x8[:])
-			updateSlice(&best, &bestMV, h264.Part4x4.Base(), mv, blk4[:])
+		rowBase := ref.Idx(x0-r, y0+dy)
+		for dx := 0; dx < side; dx++ {
+			blockSADs(&lanes, refRaw[rowBase+dx:], stride, &blk)
+			best.fold(&blk, scan)
+			scan++
 		}
 	}
 
-	for part := 0; part < h264.TotalPartitions; part++ {
-		field.Set(mbx, mby, part, rf, bestMV[part], best[part])
+	for part := range best {
+		i, sad := best.at(part)
+		mv := h264.MV{X: int16(i%side - r), Y: int16(i/side - r)}
+		field.Set(mbx, mby, part, rf, mv, sad)
+	}
+	return side * side
+}
+
+// mbLanes is the current macroblock in SWAR form, split once and reused by
+// every candidate: row y is four words of 16-bit lanes — the even and the
+// odd samples of its left eight, then of its right eight — each carrying
+// h264.LaneBias.
+type mbLanes [h264.MBSize][4]uint64
+
+func (l *mbLanes) load(cur *h264.Plane, x0, y0 int) {
+	raw := cur.Raw()
+	for y := range l {
+		row := raw[cur.Idx(x0, y0+y):]
+		le, lo := h264.EvenOdd(binary.LittleEndian.Uint64(row))
+		re, ro := h264.EvenOdd(binary.LittleEndian.Uint64(row[8:]))
+		l[y] = [4]uint64{le | h264.LaneBias, lo | h264.LaneBias, re | h264.LaneBias, ro | h264.LaneBias}
 	}
 }
 
-func update(best *[h264.TotalPartitions]int32, bestMV *[h264.TotalPartitions]h264.MV, idx int, mv h264.MV, sad int32) {
-	if sad < best[idx] {
-		best[idx] = sad
-		bestMV[idx] = mv
-	}
-}
-
-func updateSlice(best *[h264.TotalPartitions]int32, bestMV *[h264.TotalPartitions]h264.MV, base int, mv h264.MV, sads []int32) {
-	for k, sad := range sads {
-		if sad < best[base+k] {
-			best[base+k] = sad
-			bestMV[base+k] = mv
+// blockSADs computes the sixteen 4×4 SADs (raster order) of the macroblock
+// against the 16×16 block whose top-left sample is ref[0]. The four rows of
+// a band accumulate in the 16-bit lanes as 256−|d| per sample — 4 rows ×
+// (even + odd) × 256 = 2048 per lane at most — and are turned into SADs and
+// reduced horizontally once per band.
+func blockSADs(l *mbLanes, ref []uint8, stride int, blk *[16]uint32) {
+	const bandOf256 = 0x0800080008000800 // 4 rows × (even + odd) × 256, every lane
+	for band := 0; band < 4; band++ {
+		var left, right uint64
+		for y := band * 4; y < band*4+4; y++ {
+			row := ref[y*stride : y*stride+h264.MBSize : y*stride+h264.MBSize]
+			c := &l[y]
+			e, o := h264.EvenOdd(binary.LittleEndian.Uint64(row))
+			left += h264.LanesAbsDiffFrom256(c[0], e) + h264.LanesAbsDiffFrom256(c[1], o)
+			e, o = h264.EvenOdd(binary.LittleEndian.Uint64(row[8:]))
+			right += h264.LanesAbsDiffFrom256(c[2], e) + h264.LanesAbsDiffFrom256(c[3], o)
 		}
+		// Lane k holds samples 2k and 2k+1 of its eight; adjacent lanes
+		// pair up into the two 4-wide cells.
+		left, right = bandOf256-left, bandOf256-right
+		left += left >> 16
+		right += right >> 16
+		blk[band*4] = uint32(left & 0xFFFF)
+		blk[band*4+1] = uint32(left >> 32 & 0xFFFF)
+		blk[band*4+2] = uint32(right & 0xFFFF)
+		blk[band*4+3] = uint32(right >> 32 & 0xFFFF)
 	}
 }
 
-func absDiff(a, b uint8) int32 {
-	if a > b {
-		return int32(a - b)
+// bestKeys holds the running minimum of each of the 41 partitions as the
+// packed key sad<<scanBits | scan, scan being the candidate's position in
+// evaluation order. The smaller key is the smaller SAD and, between equal
+// SADs, the candidate evaluated first: the strict "<" rule of SearchRowsRef
+// without a branch.
+type bestKeys [h264.TotalPartitions]uint64
+
+const (
+	scanBits = 24
+	scanMask = 1<<scanBits - 1
+
+	// Where each mode's partitions start in the 41-entry array:
+	// h264.PartMode.Base as constants, so fold indexes without bounds
+	// checks (the SearchRowsRef oracle goes through Base itself).
+	base16x8 = 1
+	base8x16 = base16x8 + 2
+	base8x8  = base8x16 + 2
+	base8x4  = base8x8 + 4
+	base4x8  = base8x4 + 8
+	base4x4  = base4x8 + 8
+
+	// maxCandidates is the largest full search checkSearchArgs admits; the
+	// constant below does not compile unless every one of its candidates
+	// numbers within the key's scan field.
+	maxCandidates        = (2 * (h264.DefaultPad - 8)) * (2 * (h264.DefaultPad - 8))
+	_             uint64 = scanMask - (maxCandidates - 1)
+)
+
+func (b *bestKeys) reset() {
+	for i := range b {
+		b[i] = math.MaxUint64
 	}
-	return int32(b - a)
 }
 
-// SAD computes the sum of absolute differences between the w×h block of cur
-// at (cx, cy) and the block of ref at (rx, ry), four samples per step for
-// the partition widths (multiples of 4). Exported for the fast-search
-// ablations and the sub-pixel refinement bootstrap.
-func SAD(cur, ref *h264.Plane, cx, cy, rx, ry, w, h int) int32 {
-	if w%4 != 0 {
-		return SADRef(cur, ref, cx, cy, rx, ry, w, h)
-	}
-	curRaw, refRaw := cur.Raw(), ref.Raw()
-	var sum int32
-	for y := 0; y < h; y++ {
-		co := cur.Idx(cx, cy+y)
-		ro := ref.Idx(rx, ry+y)
-		for x := 0; x < w; x += 4 {
-			c := binary.LittleEndian.Uint32(curRaw[co+x:])
-			r := binary.LittleEndian.Uint32(refRaw[ro+x:])
-			sum += h264.SAD4(c, r)
-		}
-	}
-	return sum
+// at unpacks partition part's minimum into the scan position that won it and
+// its SAD.
+func (b *bestKeys) at(part int) (scan int, sad int32) {
+	return int(b[part] & scanMask), int32(b[part] >> scanBits)
 }
 
-// SADRef is the scalar sample-at-a-time SAD retained as the oracle for the
-// SWAR kernels: it shares no code with them, so tests comparing the two
-// genuinely cross-check the lane arithmetic.
-func SADRef(cur, ref *h264.Plane, cx, cy, rx, ry, w, h int) int32 {
-	var sum int32
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			sum += absDiff(cur.At(cx+x, cy+y), ref.At(rx+x, ry+y))
-		}
+// fold aggregates the sixteen 4×4 SADs of the candidate numbered scan
+// bottom-up into the 8×4, 4×8, 8×8, 16×8, 8×16 and 16×16 partition SADs and
+// lowers every running minimum the candidate beats.
+func (b *bestKeys) fold(blk *[16]uint32, scan uint64) {
+	// Cells in key position, so a sum is one OR from its key.
+	var c [16]uint64
+	for i, v := range blk {
+		c[i] = uint64(v) << scanBits
+		b.lower(base4x4+i, c[i]|scan)
 	}
-	return sum
+
+	// 8×4: cell pairs along a row, two per row. 4×8: cell pairs down a
+	// column, four per half.
+	var w [8]uint64
+	for i := range w {
+		w[i] = c[2*i] + c[2*i+1]
+		b.lower(base8x4+i, w[i]|scan)
+	}
+	for i := 0; i < 4; i++ {
+		b.lower(base4x8+i, (c[i]+c[i+4])|scan)
+		b.lower(base4x8+4+i, (c[i+8]+c[i+12])|scan)
+	}
+
+	q0, q1, q2, q3 := w[0]+w[2], w[1]+w[3], w[4]+w[6], w[5]+w[7]
+	b.lower(base8x8+0, q0|scan)
+	b.lower(base8x8+1, q1|scan)
+	b.lower(base8x8+2, q2|scan)
+	b.lower(base8x8+3, q3|scan)
+	b.lower(base16x8+0, (q0+q1)|scan)
+	b.lower(base16x8+1, (q2+q3)|scan)
+	b.lower(base8x16+0, (q0+q2)|scan)
+	b.lower(base8x16+1, (q1+q3)|scan)
+	b.lower(0, (q0+q1+q2+q3)|scan)
 }
+
+func (b *bestKeys) lower(part int, key uint64) { b[part] = min(b[part], key) }

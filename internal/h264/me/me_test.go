@@ -75,7 +75,7 @@ func TestSADNeverWorseThanZeroMV(t *testing.T) {
 				for k := 0; k < m.Count(); k++ {
 					ox, oy := m.Offset(k)
 					x, y := mbx*16+ox, mby*16+oy
-					zero := SAD(cur.Y, ref.Y, x, y, x, y, w, h)
+					zero := SADRef(cur.Y, ref.Y, x, y, x, y, w, h)
 					_, cost := field.Get(mbx, mby, m.Base()+k, 0)
 					if cost > zero {
 						t.Fatalf("MB(%d,%d) %v/%d: best %d worse than zero-MV %d",
@@ -107,7 +107,7 @@ func TestAgreesWithBruteForceOracle(t *testing.T) {
 					var bestMV h264.MV
 					for dy := -r; dy < r; dy++ {
 						for dx := -r; dx < r; dx++ {
-							s := SAD(cur.Y, ref.Y, x, y, x+dx, y+dy, w, h)
+							s := SADRef(cur.Y, ref.Y, x, y, x+dx, y+dy, w, h)
 							if s < bestSAD {
 								bestSAD = s
 								bestMV = h264.MV{X: int16(dx), Y: int16(dy)}
@@ -241,38 +241,81 @@ func TestEvalsCountedOncePerCall(t *testing.T) {
 	}
 }
 
+// flatFrame returns a w×h frame whose every sample is v.
+func flatFrame(w, h int, v uint8) *h264.Frame {
+	f := h264.NewFrame(w, h)
+	f.Y.Fill(v)
+	f.Cb.Fill(v)
+	f.Cr.Fill(v)
+	return f
+}
+
 func TestSearchRowsMatchesScalarReference(t *testing.T) {
 	// The SWAR kernel must be bit-exact with the retained scalar kernel —
 	// same SADs, same vectors, same tie-breaking.
-	cur := randomFrame(80, 64, 32)
-	ref := randomFrame(80, 64, 33)
-	dpb := h264.NewDPB(1)
-	dpb.Push(ref)
-	cfg := Config{SearchRange: 6}
-	fast := h264.NewMVField(5, 4, 1)
-	slow := h264.NewMVField(5, 4, 1)
-	SearchRows(cur, dpb, cfg, fast, 0, 4)
-	SearchRowsRef(cur, dpb, cfg, slow, 0, 4)
-	if !fast.Equal(slow) {
-		t.Fatal("SWAR search differs from scalar reference")
+	matchesRef := func(t *testing.T, cur, ref *h264.Frame, r int) *h264.MVField {
+		t.Helper()
+		dpb := h264.NewDPB(1)
+		dpb.Push(ref)
+		cfg := Config{SearchRange: r}
+		fast := h264.NewMVField(cur.MBWidth(), cur.MBHeight(), 1)
+		slow := h264.NewMVField(cur.MBWidth(), cur.MBHeight(), 1)
+		SearchRows(cur, dpb, cfg, fast, 0, cur.MBHeight())
+		SearchRowsRef(cur, dpb, cfg, slow, 0, cur.MBHeight())
+		if !fast.Equal(slow) {
+			t.Fatal("SWAR search differs from scalar reference")
+		}
+		return fast
 	}
-}
-
-func TestSADMatchesScalarReference(t *testing.T) {
-	cur := randomFrame(64, 48, 34)
-	ref := randomFrame(64, 48, 35)
-	rng := rand.New(rand.NewSource(36))
-	for i := 0; i < 200; i++ {
-		w := []int{4, 8, 16}[rng.Intn(3)]
-		h := []int{4, 8, 16}[rng.Intn(3)]
-		cx, cy := rng.Intn(64-w), rng.Intn(48-h)
-		rx, ry := cx+rng.Intn(9)-4, cy+rng.Intn(9)-4
-		got := SAD(cur.Y, ref.Y, cx, cy, rx, ry, w, h)
-		want := SADRef(cur.Y, ref.Y, cx, cy, rx, ry, w, h)
-		if got != want {
-			t.Fatalf("SAD(%d,%d %d,%d %dx%d) = %d, ref %d", cx, cy, rx, ry, w, h, got, want)
+	// wantAll checks that every partition of macroblock (0,0) found mv at
+	// the given SAD per sample.
+	wantAll := func(t *testing.T, field *h264.MVField, mv h264.MV, perSample int32) {
+		t.Helper()
+		for _, m := range h264.AllModes() {
+			w, h := m.Size()
+			for k := 0; k < m.Count(); k++ {
+				got, cost := field.Get(0, 0, m.Base()+k, 0)
+				if got != mv || cost != perSample*int32(w*h) {
+					t.Fatalf("%v/%d: MV %v SAD %d, want %v SAD %d", m, k, got, cost, mv, perSample*int32(w*h))
+				}
+			}
 		}
 	}
+
+	t.Run("random", func(t *testing.T) {
+		matchesRef(t, randomFrame(80, 64, 32), randomFrame(80, 64, 33), 6)
+	})
+	t.Run("flat", func(t *testing.T) {
+		// Every candidate ties at SAD 0: each partition keeps the first in
+		// scan order.
+		const r = 6
+		field := matchesRef(t, flatFrame(48, 32, 90), flatFrame(48, 32, 90), r)
+		wantAll(t, field, h264.MV{X: -r, Y: -r}, 0)
+	})
+	t.Run("saturated", func(t *testing.T) {
+		// Every sample differs by 255: the lane accumulators sit at their
+		// extreme and the 16×16 SAD at 65 280, in every candidate.
+		const r = 4
+		field := matchesRef(t, flatFrame(32, 32, 0), flatFrame(32, 32, 255), r)
+		wantAll(t, field, h264.MV{X: -r, Y: -r}, 255)
+		field = matchesRef(t, flatFrame(32, 32, 255), flatFrame(32, 32, 0), r)
+		wantAll(t, field, h264.MV{X: -r, Y: -r}, 255)
+	})
+	t.Run("max-range", func(t *testing.T) {
+		// The largest search checkSearchArgs admits, with the only exact
+		// match planted at its last candidate: the highest scan position
+		// must survive the packed key.
+		const r = h264.DefaultPad - 8
+		cur := randomFrame(16, 16, 91)
+		ref := randomFrame(16, 16, 92)
+		for y := 0; y < 16; y++ {
+			for x := 0; x < 16; x++ {
+				ref.Y.Set(x+r-1, y+r-1, cur.Y.At(x, y)) // inside the padded border
+			}
+		}
+		field := matchesRef(t, cur, ref, r)
+		wantAll(t, field, h264.MV{X: r - 1, Y: r - 1}, 0)
+	})
 }
 
 func TestSearchRowsPanics(t *testing.T) {

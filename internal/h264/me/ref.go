@@ -99,3 +99,39 @@ func searchMBRef(cur, ref *h264.Plane, r int, field *h264.MVField, mbx, mby, rf 
 		field.Set(mbx, mby, part, rf, bestMV[part], best[part])
 	}
 }
+
+func update(best *[h264.TotalPartitions]int32, bestMV *[h264.TotalPartitions]h264.MV, idx int, mv h264.MV, sad int32) {
+	if sad < best[idx] {
+		best[idx] = sad
+		bestMV[idx] = mv
+	}
+}
+
+func updateSlice(best *[h264.TotalPartitions]int32, bestMV *[h264.TotalPartitions]h264.MV, base int, mv h264.MV, sads []int32) {
+	for k, sad := range sads {
+		if sad < best[base+k] {
+			best[base+k] = sad
+			bestMV[base+k] = mv
+		}
+	}
+}
+
+func absDiff(a, b uint8) int32 {
+	if a > b {
+		return int32(a - b)
+	}
+	return int32(b - a)
+}
+
+// SADRef is the scalar sample-at-a-time SAD retained as the oracle for the
+// SWAR kernels: it shares no code with them, so tests comparing the two
+// genuinely cross-check the lane arithmetic.
+func SADRef(cur, ref *h264.Plane, cx, cy, rx, ry, w, h int) int32 {
+	var sum int32
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			sum += absDiff(cur.At(cx+x, cy+y), ref.At(rx+x, ry+y))
+		}
+	}
+	return sum
+}

@@ -167,7 +167,7 @@ func TestSubSADIntegerPositionsMatchPlainSAD(t *testing.T) {
 	interp.Interpolate(ref.Y, sf)
 	for _, mv := range []h264.MV{{X: 0, Y: 0}, {X: 4, Y: 8}, {X: -8, Y: 4}, {X: -12, Y: -4}} {
 		got := SubSAD(cur.Y, sf, 16, 16, 16, 16, mv)
-		want := me.SAD(cur.Y, ref.Y, 16, 16, 16+int(mv.X)/4, 16+int(mv.Y)/4, 16, 16)
+		want := me.SADRef(cur.Y, ref.Y, 16, 16, 16+int(mv.X)/4, 16+int(mv.Y)/4, 16, 16)
 		if got != want {
 			t.Fatalf("mv %v: SubSAD %d != SAD %d", mv, got, want)
 		}

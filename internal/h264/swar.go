@@ -8,35 +8,37 @@ package h264
 const (
 	laneLow  = 0x00FF00FF00FF00FF
 	laneOnes = 0x0001000100010001
-	laneBias = 0x0100010001000100
+
+	// LaneBias is bit 8 of every lane. OR-ed into the minuend it keeps each
+	// lane's difference non-negative (256+d with d in [−255, 255]), so no
+	// borrow crosses lanes.
+	LaneBias = 0x0100010001000100
 )
 
-// lanesAbsDiff returns per-lane |a−b| for four 16-bit lanes holding byte
-// values. Adding the bias keeps every lane's difference non-negative
-// (256+d with d in [−255, 255]), so no borrow crosses lanes; the carry bit
-// then selects between d and −d without branching.
-func lanesAbsDiff(a, b uint64) uint64 {
-	t := (a | laneBias) - b
-	m := (t >> 8) & laneOnes // 1 iff the lane difference is ≥ 0
-	low := t & laneLow       // d mod 256
-	nm := m ^ laneOnes       // 1 iff the lane difference is < 0
-	s := (nm << 8) - nm      // 0x00FF where negative, 0 elsewhere
-	return (low ^ s) + nm    // two's-complement negate where negative
+// EvenOdd splits eight samples loaded little-endian into their even and odd
+// samples, each as four 16-bit lanes.
+func EvenOdd(w uint64) (even, odd uint64) {
+	return w & laneLow, (w >> 8) & laneLow
 }
 
-// SADPair8 returns the two adjacent 4-sample SADs of eight horizontally
-// contiguous samples loaded little-endian (cells c and c+1 of a 4×4 grid
-// row).
-func SADPair8(c, r uint64) (int32, int32) {
-	s := lanesAbsDiff(c&laneLow, r&laneLow) + lanesAbsDiff((c>>8)&laneLow, (r>>8)&laneLow)
-	return int32(s&0xFFFF) + int32((s>>16)&0xFFFF),
-		int32((s>>32)&0xFFFF) + int32(s>>48)
+// LanesAbsDiffFrom256 returns 256−|a−b| per lane, for four 16-bit lanes
+// holding byte values, a already carrying LaneBias (a kernel that reuses a
+// against many b applies it once). The lane difference t = 256+d keeps its
+// sign in bit 8; a lane with d < 0 already holds 256−|d|, and one with
+// d ≥ 0 is negated within nine bits, so the two cases need no select. A
+// caller sums n results per lane and recovers the SAD as n·256 − sum.
+func LanesAbsDiffFrom256(a, b uint64) uint64 {
+	t := a - b
+	m := (t >> 8) & laneOnes // 1 iff the lane difference is ≥ 0
+	s := (m << 9) - m        // 0x1FF where it is, 0 elsewhere
+	return (t ^ s) + m       // 512−t where it is, t elsewhere
 }
 
 // SAD4 returns the SAD of four horizontally contiguous samples loaded
 // little-endian as 32-bit words.
 func SAD4(c, r uint32) int32 {
-	s := lanesAbsDiff(uint64(c)&laneLow, uint64(r)&laneLow) +
-		lanesAbsDiff(uint64(c>>8)&laneLow, uint64(r>>8)&laneLow)
-	return int32(s&0xFFFF) + int32((s>>16)&0xFFFF)
+	ce, co := EvenOdd(uint64(c))
+	re, ro := EvenOdd(uint64(r))
+	s := LanesAbsDiffFrom256(ce|LaneBias, re) + LanesAbsDiffFrom256(co|LaneBias, ro)
+	return 4*256 - int32(s&0xFFFF) - int32((s>>16)&0xFFFF)
 }
