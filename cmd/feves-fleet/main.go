@@ -35,7 +35,6 @@ import (
 	"feves/internal/fleet"
 	"feves/internal/platforms"
 	"feves/internal/teleflag"
-	"feves/internal/telemetry"
 )
 
 func main() {
@@ -66,20 +65,9 @@ func main() {
 	tf := teleflag.Register()
 	flag.Parse()
 
-	obs, closeTelemetry, err := tf.Observer()
+	tel, closeTelemetry, err := tf.ServiceSink()
 	if err != nil {
 		log.Fatal(err)
-	}
-	tel := &telemetry.Telemetry{
-		Metrics: telemetry.NewRegistry(),
-		Trace:   telemetry.NewTraceWriterCap(tf.TraceEventCap()),
-		Flight:  telemetry.NewFlightRecorder(tf.FlightFrames()),
-	}
-	if obs != nil {
-		tel = obs.Sink()
-		if tel.Trace == nil {
-			tel.Trace = telemetry.NewTraceWriterCap(tf.TraceEventCap())
-		}
 	}
 
 	var nodeCfgs []fleet.NodeConfig

@@ -35,7 +35,6 @@ import (
 	"feves/internal/platforms"
 	"feves/internal/serve"
 	"feves/internal/teleflag"
-	"feves/internal/telemetry"
 )
 
 func main() {
@@ -67,26 +66,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	obs, closeTelemetry, err := tf.Observer()
+	tel, closeTelemetry, err := tf.ServiceSink()
 	if err != nil {
 		log.Fatal(err)
-	}
-	// The service always carries a metrics registry, a bounded trace ring
-	// and a flight recorder so /metrics, /debug/trace and /debug/flight
-	// work out of the box; the teleflag observer adds the event/trace file
-	// outputs (and a second scrape endpoint) when requested.
-	tel := &telemetry.Telemetry{
-		Metrics: telemetry.NewRegistry(),
-		Trace:   telemetry.NewTraceWriterCap(tf.TraceEventCap()),
-		Flight:  telemetry.NewFlightRecorder(tf.FlightFrames()),
-	}
-	if obs != nil {
-		tel = obs.Sink()
-		if tel.Trace == nil {
-			// Keep /debug/trace live even when no -perfetto file was asked
-			// for; the ring is bounded either way.
-			tel.Trace = telemetry.NewTraceWriterCap(tf.TraceEventCap())
-		}
 	}
 
 	s, err := serve.New(serve.Config{

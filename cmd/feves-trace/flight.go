@@ -3,7 +3,9 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"os"
 	"sort"
 
@@ -39,19 +41,71 @@ type flightFile struct {
 	Bundles   []telemetry.Bundle      `json:"bundles"`
 }
 
-// runFlight renders a flight-recorder document: picks the window (a bundle
-// or the live ring), prints the post-mortem header and incident log, and
-// reuses the simulation path's Gantt/CSV/SVG/JSON views on the recorded
-// schedule of the selected frame. With -perfetto it additionally replays
-// the whole window into a trace timeline, one lane per session.
+// runFlight is -flight mode: it renders the document at o.path to stdout.
 func runFlight(o flightOpts) {
 	raw, err := os.ReadFile(o.path)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := renderFlight(os.Stdout, raw, o); err != nil {
+		log.Fatalf("%s: %v", o.path, err)
+	}
+}
+
+// loadFlight decodes a flight-recorder document and validates every
+// recorded frame in it — the live ring's and each bundle's. The file is
+// whatever the operator handed over, so nothing the renderers index or
+// scale by may be taken on trust.
+func loadFlight(raw []byte) (flightFile, error) {
 	var ff flightFile
 	if err := json.Unmarshal(raw, &ff); err != nil {
-		log.Fatalf("%s: %v", o.path, err)
+		return ff, err
+	}
+	for i := range ff.Frames {
+		if err := checkEntry(&ff.Frames[i]); err != nil {
+			return ff, err
+		}
+	}
+	for _, b := range ff.Bundles {
+		for i := range b.Frames {
+			if err := checkEntry(&b.Frames[i]); err != nil {
+				return ff, fmt.Errorf("bundle %d: %w", b.ID, err)
+			}
+		}
+	}
+	return ff, nil
+}
+
+// checkEntry rejects a recorded frame whose times no schedule could have
+// produced: every τ finite and non-negative, every span 0 ≤ start ≤ end with
+// a finite end.
+func checkEntry(e *telemetry.FlightEntry) error {
+	for _, p := range []struct {
+		name string
+		t    float64
+	}{{"tau1", e.Tau1}, {"tau2", e.Tau2}, {"tau_tot", e.Tot}} {
+		if !(p.t >= 0) || math.IsInf(p.t, 1) {
+			return fmt.Errorf("frame %d: %s = %v is not a finite non-negative time", e.Frame, p.name, p.t)
+		}
+	}
+	for i, s := range e.Spans {
+		if !(s.Start >= 0 && s.End >= s.Start) || math.IsInf(s.End, 1) {
+			return fmt.Errorf("frame %d: span %d (%q on %q) runs %v → %v, want finite 0 ≤ start ≤ end",
+				e.Frame, i, s.Label, s.Resource, s.Start, s.End)
+		}
+	}
+	return nil
+}
+
+// renderFlight renders a flight-recorder document: picks the window (a bundle
+// or the live ring), prints the post-mortem header and incident log, and
+// reuses the simulation path's Gantt/CSV/SVG/JSON views on the recorded
+// schedule of the selected frame. With -perfetto it additionally replays
+// the whole window into a trace timeline, one lane per session.
+func renderFlight(out io.Writer, raw []byte, o flightOpts) error {
+	ff, err := loadFlight(raw)
+	if err != nil {
+		return err
 	}
 
 	window := telemetry.Bundle{
@@ -68,131 +122,142 @@ func runFlight(o flightOpts) {
 			}
 		}
 		if !found {
-			log.Fatalf("%s: no bundle with id %d (have %s)", o.path, o.bundle, bundleIDs(ff.Bundles))
+			return fmt.Errorf("no bundle with id %d (have %s)", o.bundle, bundleIDs(ff.Bundles))
 		}
 	case ff.Reason == "" && len(ff.Bundles) > 0:
 		window = ff.Bundles[len(ff.Bundles)-1]
 	}
 	if len(window.Frames) == 0 {
-		log.Fatalf("%s: selected window holds no recorded frames", o.path)
+		return fmt.Errorf("selected window holds no recorded frames")
 	}
 
 	if window.Reason != "" {
-		fmt.Printf("post-mortem bundle %d: %s\n", window.ID, window.Reason)
+		fmt.Fprintf(out, "post-mortem bundle %d: %s\n", window.ID, window.Reason)
 		if window.Session != "" {
-			fmt.Printf("  session:  %s\n", window.Session)
+			fmt.Fprintf(out, "  session:  %s\n", window.Session)
 		}
-		fmt.Printf("  frame:    %d\n", window.Frame)
+		fmt.Fprintf(out, "  frame:    %d\n", window.Frame)
 		if window.Detail != "" {
-			fmt.Printf("  detail:   %s\n", window.Detail)
+			fmt.Fprintf(out, "  detail:   %s\n", window.Detail)
 		}
 		if !window.Captured.IsZero() {
-			fmt.Printf("  captured: %s\n", window.Captured.Format("2006-01-02 15:04:05 MST"))
+			fmt.Fprintf(out, "  captured: %s\n", window.Captured.Format("2006-01-02 15:04:05 MST"))
 		}
 	} else {
-		fmt.Printf("live flight ring: %d frames, %d incidents, %d bundles\n",
+		fmt.Fprintf(out, "live flight ring: %d frames, %d incidents, %d bundles\n",
 			len(window.Frames), len(window.Incidents), len(ff.Bundles))
 	}
 	if len(window.Incidents) > 0 {
-		fmt.Printf("\nincidents (oldest first):\n")
+		fmt.Fprintf(out, "\nincidents (oldest first):\n")
 		for _, in := range window.Incidents {
 			s := in.Session
 			if s == "" {
 				s = "-"
 			}
-			fmt.Printf("  #%-4d %-18s session=%-12s frame=%-4d dev=%-3d %s\n",
+			fmt.Fprintf(out, "  #%-4d %-18s session=%-12s frame=%-4d dev=%-3d %s\n",
 				in.Seq, in.Kind, s, in.Frame, in.Device, in.Detail)
 		}
 	}
 
-	entry := pickEntry(window, o)
-	fmt.Printf("\nframe %d", entry.Frame)
+	entry, err := pickEntry(window, o)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nframe %d", entry.Frame)
 	if entry.Session != "" {
-		fmt.Printf(" (session %s)", entry.Session)
+		fmt.Fprintf(out, " (session %s)", entry.Session)
 	}
 	if entry.Attempt > 0 {
-		fmt.Printf(" attempt %d", entry.Attempt)
+		fmt.Fprintf(out, " attempt %d", entry.Attempt)
 	}
 	if entry.PredTot > 0 {
-		fmt.Printf(": τtot %.4fs measured vs %.4fs predicted", entry.Tot, entry.PredTot)
+		fmt.Fprintf(out, ": τtot %.4fs measured vs %.4fs predicted", entry.Tot, entry.PredTot)
 	} else {
-		fmt.Printf(": τtot %.4fs", entry.Tot)
+		fmt.Fprintf(out, ": τtot %.4fs", entry.Tot)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 
 	timing := entryTiming(entry)
 	if o.svg != "" {
 		if err := os.WriteFile(o.svg, []byte(trace.SVG(timing, 1200)), 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s\n", o.svg)
+		fmt.Fprintf(out, "wrote %s\n", o.svg)
 	}
 	if o.perfetto != "" {
 		if err := writeWindowPerfetto(o.perfetto, o.traceCap, window.Frames); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s (%d frames)\n", o.perfetto, len(window.Frames))
+		fmt.Fprintf(out, "wrote %s (%d frames)\n", o.perfetto, len(window.Frames))
 	}
 	switch {
 	case o.jsonOut:
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(entry); err != nil {
-			log.Fatal(err)
-		}
+		return enc.Encode(entry)
 	case o.csv:
-		fmt.Print(trace.CSV(timing))
+		fmt.Fprint(out, trace.CSV(timing))
 	case len(timing.Spans) > 0:
-		fmt.Println()
-		fmt.Print(trace.Gantt(timing, o.width))
-		fmt.Printf("\ndistribution: ME=%v INT=%v SME=%v Δm=%v Δl=%v σ=%v σʳ=%v\n",
+		fmt.Fprintln(out)
+		fmt.Fprint(out, trace.Gantt(timing, o.width))
+		fmt.Fprintf(out, "\ndistribution: ME=%v INT=%v SME=%v Δm=%v Δl=%v σ=%v σʳ=%v\n",
 			entry.M, entry.L, entry.S, entry.DeltaM, entry.DeltaL,
 			entry.Sigma, entry.SigmaR)
 	default:
-		fmt.Println("no spans recorded for this frame (intra or re-characterization frame)")
+		fmt.Fprintln(out, "no spans recorded for this frame (intra or re-characterization frame)")
 	}
+	return nil
 }
 
 // pickEntry selects the frame to render: an explicit -frame, else the
 // bundle's blamed frame when it is still in the window, else the newest
 // recorded frame.
-func pickEntry(window telemetry.Bundle, o flightOpts) telemetry.FlightEntry {
+func pickEntry(window telemetry.Bundle, o flightOpts) (telemetry.FlightEntry, error) {
 	want, required := window.Frame, false
 	if o.frameSet {
 		want, required = o.frame, true
 	}
 	for i := len(window.Frames) - 1; i >= 0; i-- {
 		if window.Frames[i].Frame == want {
-			return window.Frames[i]
+			return window.Frames[i], nil
 		}
 	}
 	if required {
-		log.Fatalf("frame %d is not in the recorded window (frames %d..%d)",
+		return telemetry.FlightEntry{}, fmt.Errorf("frame %d is not in the recorded window (frames %d..%d)",
 			want, window.Frames[0].Frame, window.Frames[len(window.Frames)-1].Frame)
 	}
-	return window.Frames[len(window.Frames)-1]
+	return window.Frames[len(window.Frames)-1], nil
 }
 
-// entryTiming rebuilds the vcm.FrameTiming view of a recorded frame so the
-// existing Gantt/CSV/SVG renderers apply unchanged.
+// entryTiming is the vcm.FrameTiming view of a recorded frame, so the
+// simulation path's Gantt/CSV/SVG renderers apply unchanged; the recorded
+// spans are the renderers' span type already.
 func entryTiming(e telemetry.FlightEntry) vcm.FrameTiming {
-	t := vcm.FrameTiming{
+	return vcm.FrameTiming{
 		Frame: e.Frame, Tau1: e.Tau1, Tau2: e.Tau2, Tot: e.Tot,
-		RStarDev: e.RStarDev,
-		Spans:    make([]vcm.TaskSpan, len(e.Spans)),
+		RStarDev: e.RStarDev, Chain: e.Chain, PairMakespan: e.PairMakespan,
+		Spans: e.Spans,
 	}
-	for i, s := range e.Spans {
-		t.Spans[i] = vcm.TaskSpan{
-			Resource: s.Resource, Label: s.Label, Start: s.Start, End: s.End,
-		}
-	}
-	return t
 }
 
-// writeWindowPerfetto replays every recorded frame into a fresh trace
-// writer — one process lane per session, frames laid back-to-back per lane
-// — and writes the Perfetto-loadable timeline.
+// writeWindowPerfetto writes the recorded window's Perfetto-loadable
+// timeline to path.
 func writeWindowPerfetto(path string, capEvents int, frames []telemetry.FlightEntry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = exportWindow(f, capEvents, frames)
+	if e := f.Close(); err == nil {
+		err = e
+	}
+	return err
+}
+
+// exportWindow replays every recorded frame into a fresh trace writer — one
+// process lane per session, frames laid back-to-back per lane — and exports
+// the timeline.
+func exportWindow(out io.Writer, capEvents int, frames []telemetry.FlightEntry) error {
 	w := telemetry.NewTraceWriterCap(capEvents)
 	offsets := map[string]float64{}
 	for _, e := range frames {
@@ -210,15 +275,7 @@ func writeWindowPerfetto(path string, capEvents int, frames []telemetry.FlightEn
 		}
 		offsets[e.Session] = off + adv
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = w.Export(f)
-	if e := f.Close(); err == nil {
-		err = e
-	}
-	return err
+	return w.Export(out)
 }
 
 // bundleIDs lists the available bundle ids for the -bundle error message.

@@ -27,14 +27,14 @@ func jsonl(t *testing.T, events ...interface{}) string {
 func TestMergeEventStreamsKeyedByNode(t *testing.T) {
 	node0 := jsonl(t,
 		telemetry.FrameStartEvent{Type: "frame_start", Node: "node0", Session: "job-1", Frame: 0},
-		telemetry.FrameEndEvent{Type: "frame_end", Node: "node0", Session: "job-1", Frame: 0,
-			Tau1: 0.01, Tau2: 0.02, Tot: 0.05},
-		telemetry.FrameEndEvent{Type: "frame_end", Node: "node0", Session: "job-1", Frame: 1,
-			Tau1: 0.01, Tau2: 0.02, Tot: 0.04},
+		telemetry.FrameEndEvent{Type: "frame_end", Node: "node0", Session: "job-1",
+			FrameRecord: telemetry.FrameRecord{Frame: 0, Tau1: 0.01, Tau2: 0.02, Tot: 0.05}},
+		telemetry.FrameEndEvent{Type: "frame_end", Node: "node0", Session: "job-1",
+			FrameRecord: telemetry.FrameRecord{Frame: 1, Tau1: 0.01, Tau2: 0.02, Tot: 0.04}},
 	)
 	node1 := jsonl(t,
-		telemetry.FrameEndEvent{Type: "frame_end", Node: "node1", Session: "clip/shard1", Frame: 4,
-			Attempt: 2, Tau1: 0.02, Tau2: 0.03, Tot: 0.06},
+		telemetry.FrameEndEvent{Type: "frame_end", Node: "node1", Session: "clip/shard1",
+			FrameRecord: telemetry.FrameRecord{Frame: 4, Attempt: 2, Tau1: 0.02, Tau2: 0.03, Tot: 0.06}},
 	)
 
 	w := telemetry.NewTraceWriterCap(0)
@@ -108,7 +108,7 @@ func TestMergeEventStreamsKeyedByNode(t *testing.T) {
 // records carry no node field: the lane key comes from the file name.
 func TestMergeEventStreamFallsBackToFileLabel(t *testing.T) {
 	stream := jsonl(t,
-		telemetry.FrameEndEvent{Type: "frame_end", Session: "s", Frame: 0, Tot: 0.01},
+		telemetry.FrameEndEvent{Type: "frame_end", Session: "s", FrameRecord: telemetry.FrameRecord{Tot: 0.01}},
 	)
 	w := telemetry.NewTraceWriterCap(0)
 	stats := map[string]*laneStats{}
@@ -127,7 +127,7 @@ func TestMergeEventStreamFallsBackToFileLabel(t *testing.T) {
 // TestMergeEventStreamRejectsMalformedJSON pins the error path: a corrupt
 // record fails with its position instead of silently truncating the trace.
 func TestMergeEventStreamRejectsMalformedJSON(t *testing.T) {
-	good := jsonl(t, telemetry.FrameEndEvent{Type: "frame_end", Node: "n", Frame: 0, Tot: 0.01})
+	good := jsonl(t, telemetry.FrameEndEvent{Type: "frame_end", Node: "n", FrameRecord: telemetry.FrameRecord{Tot: 0.01}})
 	err := mergeEventStream(telemetry.NewTraceWriterCap(0), strings.NewReader(good+"{broken\n"), "n", map[string]*laneStats{})
 	if err == nil || !strings.Contains(err.Error(), "record 2") {
 		t.Fatalf("malformed record error %v, want position-tagged failure", err)

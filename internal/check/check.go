@@ -41,19 +41,14 @@ import (
 
 	"feves/internal/device"
 	"feves/internal/sched"
+	"feves/internal/telemetry"
 )
 
 // eps absorbs float64 accumulation error in the simulated timestamps.
 const eps = 1e-9
 
-// Span is one executed schedule task, mirroring vcm.TaskSpan without
-// importing it (vcm imports this package).
-type Span struct {
-	Resource string
-	Label    string
-	Start    float64
-	End      float64
-}
+// Span is one executed schedule task: the repository's one span type.
+type Span = telemetry.Span
 
 // Violation is one broken invariant. Rule is a stable identifier
 // ("dist.sum", "time.sme-before-tau1", ...), Detail the human-readable

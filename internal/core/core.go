@@ -162,7 +162,9 @@ type Framework struct {
 	lastLP    lp.Stats     // solver counters at the last frame-end emit
 
 	// Per-frame audit scratch, reused so the telemetry path adds no
-	// steady-state allocations to the frame loop.
+	// steady-state allocations to the frame loop. lpDelta is the emitted
+	// frame's share of the solver counters; its FrameRecord.LP points here.
+	lpDelta    telemetry.LPSolveStats
 	snapBefore sched.ModelSnapshot
 	snapAfter  sched.ModelSnapshot
 	drifts     []sched.KDrift
@@ -394,7 +396,7 @@ func (f *Framework) EncodeNext(cf *h264.Frame) (Result, error) {
 		tel.Mark("idr", idx)
 	}
 	tel.FrameEnd(telemetry.FrameRecord{Frame: idx, Intra: true,
-		Bits: res.Stats.Bits, PSNRY: res.Stats.PSNRY})
+		Bits: res.Stats.Bits, PSNRY: res.Stats.PSNRY}, nil, 0)
 	return res, nil
 }
 
@@ -449,7 +451,6 @@ func (f *Framework) encodeWindow(cfs ...*h264.Frame) (rs [2]Result, done int, er
 		okTry    int // attempt index that finally succeeded
 	)
 	for attempt := 0; ; attempt++ {
-		f.mgr.Attempt = attempt
 		if f.health != nil {
 			f.topo.Down = f.health.Down()
 			f.mgr.Down = f.topo.Down
@@ -539,8 +540,19 @@ func (f *Framework) encodeWindow(cfs ...*h264.Frame) (rs [2]Result, done int, er
 	}
 	rs[0].SchedOverhead = overhead
 	if tel.Enabled() {
+		// The frames of a window share one simulated interval: only the last
+		// completed one moves the sink's run clock on, by the window's
+		// makespan (a window of one ran for its frame's τtot).
+		makespan := rs[done-1].Timing.PairMakespan
+		if makespan == 0 {
+			makespan = rs[done-1].Timing.Tot
+		}
 		for k := 0; k < done; k++ {
-			f.emitFrameTelemetry(tel, rs[k])
+			advance := 0.0
+			if k == done-1 {
+				advance = makespan
+			}
+			f.emitFrameTelemetry(tel, &rs[k], advance)
 		}
 	}
 	return rs, done, nil
@@ -618,15 +630,18 @@ func firstUp(topo sched.Topology) int {
 	return 0
 }
 
-// emitFrameTelemetry converts one inter-frame result into the sink's
-// frame-end record and, for model-driven decisions, the balancer audit
-// pairing the predicted τtot with the measured one.
-func (f *Framework) emitFrameTelemetry(tel *telemetry.Telemetry, r Result) {
+// emitFrameTelemetry reports one completed inter frame to the sink — the
+// only place a frame is reported from: the balancer audit pairing the
+// predicted τtot with the measured one (for model-driven decisions), then
+// the frame record with the executed spans attached. advance is how far the
+// frame moves the sink's run clock on.
+func (f *Framework) emitFrameTelemetry(tel *telemetry.Telemetry, r *Result, advance float64) {
 	if r.Stats.Intra {
 		// The encoder's scene-cut detector switched to intra mid-pipeline.
 		tel.Mark("scene_cut", r.FrameIndex)
 	}
-	if r.Distribution.PredTot > 0 {
+	d, ft := &r.Distribution, &r.Timing
+	if d.PredTot > 0 {
 		// The sink serializes records synchronously, so the drift scratch
 		// can be reused next frame.
 		f.pm.SnapshotInto(&f.snapAfter)
@@ -638,14 +653,27 @@ func (f *Framework) emitFrameTelemetry(tel *telemetry.Telemetry, r Result) {
 		}
 		tel.Audit(telemetry.AuditRecord{
 			Frame: r.FrameIndex, Balancer: f.bal.Name(),
-			PredTot: r.Distribution.PredTot, Measured: r.Timing.Tot,
+			PredTot: d.PredTot, Measured: ft.Tot,
 			Drift: f.dd,
 		})
 	}
+	rec := telemetry.FrameRecord{
+		Frame: r.FrameIndex, Attempt: r.Attempt, Chain: ft.Chain,
+		Tau1: ft.Tau1, Tau2: ft.Tau2, Tot: ft.Tot, PairMakespan: ft.PairMakespan,
+		PredTau1: d.PredTau1, PredTau2: d.PredTau2, PredTot: d.PredTot,
+		SchedOverhead: r.SchedOverhead.Seconds(),
+		RStarDev:      d.RStarDev,
+		M:             d.M, L: d.L, S: d.S,
+		Sigma: d.Sigma, SigmaR: d.SigmaR, DeltaM: d.DeltaM, DeltaL: d.DeltaL,
+		ModME:  ft.ModuleTime[sched.ModME],
+		ModINT: ft.ModuleTime[sched.ModINT],
+		ModSME: ft.ModuleTime[sched.ModSME], ModRStar: ft.ModuleTime[sched.ModRStar],
+		Bits: r.Stats.Bits, PSNRY: r.Stats.PSNRY,
+	}
 	// The per-frame LP work is the delta of the solver's cumulative
-	// counters since the last emit (zero for non-LP balancers).
+	// counters since the last emit (none for non-LP balancers).
 	cur := f.SolverStats()
-	lpd := telemetry.LPSolveStats{
+	f.lpDelta = telemetry.LPSolveStats{
 		Solves:           cur.Solves - f.lastLP.Solves,
 		WarmSolves:       cur.WarmSolves - f.lastLP.WarmSolves,
 		ColdSolves:       cur.ColdSolves - f.lastLP.ColdSolves,
@@ -655,22 +683,10 @@ func (f *Framework) emitFrameTelemetry(tel *telemetry.Telemetry, r Result) {
 		BlandPivots:      cur.BlandPivots - f.lastLP.BlandPivots,
 	}
 	f.lastLP = cur
-	tel.FrameEnd(telemetry.FrameRecord{
-		Frame: r.FrameIndex, Attempt: r.Attempt, Intra: false, Chain: r.Timing.Chain,
-		Tau1: r.Timing.Tau1, Tau2: r.Timing.Tau2, Tot: r.Timing.Tot,
-		PredTau1: r.Distribution.PredTau1, PredTau2: r.Distribution.PredTau2,
-		PredTot:       r.Distribution.PredTot,
-		SchedOverhead: r.SchedOverhead.Seconds(),
-		RStarDev:      r.Distribution.RStarDev,
-		M:             r.Distribution.M, L: r.Distribution.L, S: r.Distribution.S,
-		Sigma: r.Distribution.Sigma, SigmaR: r.Distribution.SigmaR,
-		DeltaM: r.Distribution.DeltaM, DeltaL: r.Distribution.DeltaL,
-		LP:     lpd,
-		ModME:  r.Timing.ModuleTime[sched.ModME],
-		ModINT: r.Timing.ModuleTime[sched.ModINT],
-		ModSME: r.Timing.ModuleTime[sched.ModSME], ModRStar: r.Timing.ModuleTime[sched.ModRStar],
-		Bits: r.Stats.Bits, PSNRY: r.Stats.PSNRY,
-	})
+	if f.lpDelta != (telemetry.LPSolveStats{}) {
+		rec.LP = &f.lpDelta
+	}
+	tel.FrameEnd(rec, ft.Spans, advance)
 }
 
 // Bitstream returns the functional encoder's coded stream (nil in

@@ -112,6 +112,43 @@ func TestPairLoopZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPairLoopZeroAllocsObserved is the same ceiling with every sink on. A
+// pair's two records reach the flight ring with and without LP work in turn
+// (the window's solves are accounted to its first frame), so the ring's
+// retained LP cells are what keeps this at zero.
+func TestPairLoopZeroAllocsObserved(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	tel := &telemetry.Telemetry{
+		Metrics: telemetry.NewRegistry(),
+		Trace:   telemetry.NewTraceWriterCap(512),
+		Flight:  telemetry.NewFlightRecorder(0),
+	}
+	opts := pairOpts(32, 1)
+	opts.Telemetry = tel.ForSession("tenant-0")
+	fw, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, _, _, err := fw.EncodePair(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 80; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("observed steady-state EncodePair allocates %v per pair, want 0", n)
+	}
+	frames := tel.Flight.Doc().Frames
+	a, b := frames[len(frames)-2], frames[len(frames)-1]
+	if a.LP == nil || b.LP != nil || a.PairMakespan == 0 || a.PairMakespan != b.PairMakespan {
+		t.Fatalf("last pair in the flight ring: lp %v/%v, pair_seconds %v/%v", a.LP, b.LP, a.PairMakespan, b.PairMakespan)
+	}
+}
+
 // BenchmarkFrameParallelPair measures the joint two-frame framework cost:
 // the frame-parallel counterpart of BenchmarkSimulatedFrame (one iteration
 // encodes two frames). Gated by the benchmark-regression harness.

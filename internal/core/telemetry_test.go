@@ -3,13 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
 	"feves/internal/device"
+	"feves/internal/h264"
 	"feves/internal/h264/codec"
 	"feves/internal/telemetry"
 	"feves/internal/vcm"
+	"feves/internal/video"
 )
 
 // runFrames simulates n frames on SysHK with the given sink attached.
@@ -150,5 +153,98 @@ func TestNilTelemetryUnchangedResults(t *testing.T) {
 		if plain[i] != observed[i] {
 			t.Fatalf("frame %d τtot changed with telemetry on: %v vs %v", i, plain[i], observed[i])
 		}
+	}
+}
+
+// TestSceneCutInPairAdvancesTraceClock splices a hard scene change onto
+// frame A of a frame-parallel pair: A completes as an IDR, B is aborted and
+// re-offered. The window still ran on the devices, so the sink's run clock
+// must move on by its makespan — the re-offered frame's slices start at or
+// after the cut frame's last end, and feves_simulated_seconds_total accrues
+// the window. The clock used to advance only on the last *offered* frame,
+// which a cut window never reports, so the next frame was drawn on top of it.
+func TestSceneCutInPairAdvancesTraceClock(t *testing.T) {
+	const wpx, hpx, cutAt = 320, 176, 8
+	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Trace: telemetry.NewTraceWriter()}
+	fw, err := New(Options{
+		Platform: device.SysNF(),
+		Codec: codec.Config{Width: wpx, Height: hpx, SearchRange: 16, NumRF: 1,
+			IQP: 27, PQP: 28, Chains: 2, SceneCutThreshold: 8},
+		Mode: vcm.Functional, FrameParallel: true, Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calm, burst := video.NewSynthetic(wpx, hpx, 12, 1), video.NewSynthetic(wpx, hpx, 12, 977)
+	frameAt := func(i int) *h264.Frame {
+		if i >= cutAt {
+			return burst.FrameAt(i)
+		}
+		return calm.FrameAt(i)
+	}
+	simulated, cutInPair := 0.0, false
+	for fw.FramesProcessed() < cutAt+3 {
+		i := fw.FramesProcessed()
+		ra, rb, paired, err := fw.EncodePair(frameAt(i), frameAt(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case paired:
+			simulated += rb.Timing.PairMakespan
+		case ra.Timing.PairMakespan > 0:
+			if i != cutAt || !ra.Stats.Intra {
+				t.Fatalf("frame %d lost its partner without a scene cut: %+v", i, ra)
+			}
+			cutInPair = true
+			simulated += ra.Timing.PairMakespan
+		default:
+			simulated += ra.Timing.Tot
+		}
+	}
+	if !cutInPair {
+		t.Fatalf("the cut at frame %d did not land on frame A of a pair", cutAt)
+	}
+	if got := tel.Metrics.Counter("feves_simulated_seconds_total", "").Value(); math.Abs(got-simulated) > 1e-12 {
+		t.Errorf("feves_simulated_seconds_total = %v, the windows ran %v", got, simulated)
+	}
+
+	var buf bytes.Buffer
+	if err := tel.Trace.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name  string  `json:"name"`
+			Phase string  `json:"ph"`
+			TS    float64 `json:"ts"`
+			Dur   float64 `json:"dur"`
+			TID   int     `json:"tid"`
+			Args  struct {
+				Frame int `json:"frame"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	cutEnd, nextStart := 0.0, math.Inf(1)
+	for _, e := range doc.TraceEvents {
+		if e.Phase != "X" || e.TID == 0 { // device-lane slices only
+			continue
+		}
+		switch e.Args.Frame {
+		case cutAt:
+			cutEnd = math.Max(cutEnd, e.TS+e.Dur)
+		case cutAt + 1:
+			nextStart = math.Min(nextStart, e.TS)
+		}
+	}
+	if cutEnd == 0 || math.IsInf(nextStart, 1) {
+		t.Fatalf("trace holds no slices for frames %d/%d", cutAt, cutAt+1)
+	}
+	if nextStart < cutEnd-1e-6 {
+		t.Errorf("frame %d's first slice starts at %.3f µs, on top of the cut frame %d, whose last slice ends at %.3f µs",
+			cutAt+1, nextStart, cutAt, cutEnd)
 	}
 }

@@ -217,13 +217,3 @@ func (e *Encoder) RunSME(job *FrameJob, rowLo, rowHi int) {
 // RF+1 buffer the paper transfers back to the host after R*). It is the
 // frame a conforming decoder must reproduce bit-exactly.
 func (e *Encoder) LastRecon() *h264.Frame { return e.lastRecon }
-
-// ChainRecon returns one chain's most recent reconstructed frame (nil
-// before the chain is seeded) — the per-chain bit-exactness probe of the
-// frame-parallel tests.
-func (e *Encoder) ChainRecon(chain int) *h264.Frame {
-	if e.DPBLenOn(chain) == 0 {
-		return nil
-	}
-	return e.refs.dpb[chain].Ref(0)
-}

@@ -183,6 +183,3 @@ func (d *ArithDecoder) DecodeBypassBits(n uint) uint32 {
 	}
 	return v
 }
-
-// Consumed returns the number of input bytes read so far.
-func (d *ArithDecoder) Consumed() int { return d.pos }

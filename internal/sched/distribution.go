@@ -44,16 +44,10 @@ func (d *Distribution) Validate(rows int) error {
 	return nil
 }
 
-// Offsets returns the prefix offsets of a row vector: device i processes
-// rows [off[i], off[i]+v[i]). Devices are enumerated in platform order, as
+// OffsetsInto writes the prefix offsets of a row vector into dst (reusing
+// its backing array when large enough) and returns it: device i processes
+// rows [dst[i], dst[i]+v[i]). Devices are enumerated in platform order, as
 // the paper's Data Access Management assumes.
-func Offsets(v []int) []int {
-	return OffsetsInto(nil, v)
-}
-
-// OffsetsInto writes the prefix offsets of v into dst (reusing its backing
-// array when large enough) and returns it — the zero-allocation variant
-// for per-frame callers.
 func OffsetsInto(dst []int, v []int) []int {
 	dst = growInts(dst, len(v))
 	acc := 0

@@ -145,21 +145,6 @@ func (h *Health) Clean(dev int) (from, to HealthState, changed bool) {
 	return from, to, to != from
 }
 
-// Exclude forces device dev out (subject to the last-device guard),
-// returning the transition.
-func (h *Health) Exclude(dev int) (from, to HealthState, changed bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	from = h.states[dev]
-	to = from
-	if from != Excluded && h.numUpLocked() > 1 {
-		to = Excluded
-	}
-	h.states[dev] = to
-	h.clean[dev] = 0
-	return from, to, to != from
-}
-
 // Readmit returns an excluded device to degraded (probation): it will be
 // scheduled again but one miss re-excludes it. Used when a transient fault
 // window is known to have ended.

@@ -171,3 +171,34 @@ func bundleReasons(bs []telemetry.Bundle) []string {
 	}
 	return out
 }
+
+// TestFPSGaugeMatchesPairedFrameResult pins the one throughput rule: after
+// a frame-parallel job the tenant's feves_fps gauge reads what
+// /jobs/{id}/results reported for the same last frame — 2/pair makespan. It
+// used to read 1/τtot, about half of it.
+func TestFPSGaugeMatchesPairedFrameResult(t *testing.T) {
+	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
+	s, err := New(Config{Platform: testPlatform(t), MaxSessions: 1, QueueDepth: 1, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	spec := simSpec(12)
+	spec.FrameParallel = true
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Wait(); st != StatusDone {
+		t.Fatalf("job finished %q (%s)", st, j.Status().Error)
+	}
+	rs := j.Results()
+	last := rs[len(rs)-1]
+	if last.PairSeconds == 0 {
+		t.Fatalf("last frame of a 12-frame frame-parallel job ran unpaired: %+v", last)
+	}
+	if got := tel.Metrics.Gauge("feves_fps", "", "session", j.ID()).Value(); got != last.FPS {
+		t.Errorf("feves_fps = %v, /results says %v fps for frame %d (1/τtot is %v)",
+			got, last.FPS, last.Frame, 1/last.Seconds)
+	}
+}

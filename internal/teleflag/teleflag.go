@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"feves"
+	"feves/internal/telemetry"
 )
 
 // Flags holds the parsed observability flag values.
@@ -60,9 +61,6 @@ func (f *Flags) EventsPaths() []string { return f.events }
 
 // TraceEventCap returns the -trace-events flag value (0 = default cap).
 func (f *Flags) TraceEventCap() int { return f.traceEvents }
-
-// FlightFrames returns the -flight-frames flag value (0 = default depth).
-func (f *Flags) FlightFrames() int { return f.flightFrames }
 
 // Enabled reports whether any observability flag was set.
 func (f *Flags) Enabled() bool {
@@ -119,6 +117,33 @@ func (f *Flags) Observer() (*feves.Observer, func() error, error) {
 		return err
 	}
 	return obs, closeFn, nil
+}
+
+// ServiceSink builds the sink of a long-running service (feves-serve,
+// feves-fleet). It always carries a metrics registry, a bounded trace ring
+// and a flight recorder, so /metrics, /debug/trace and /debug/flight work
+// with no flag set; when observability flags were given, the Observer's
+// sink adds the event/trace file outputs (and a second scrape endpoint).
+// Call the returned close function once at exit.
+func (f *Flags) ServiceSink() (*telemetry.Telemetry, func() error, error) {
+	obs, closeFn, err := f.Observer()
+	if err != nil {
+		return nil, closeFn, err
+	}
+	if obs == nil {
+		return &telemetry.Telemetry{
+			Metrics: telemetry.NewRegistry(),
+			Trace:   telemetry.NewTraceWriterCap(f.traceEvents),
+			Flight:  telemetry.NewFlightRecorder(f.flightFrames),
+		}, closeFn, nil
+	}
+	tel := obs.Sink()
+	if tel.Trace == nil {
+		// Keep /debug/trace live even when no -perfetto file was asked
+		// for; the ring is bounded either way.
+		tel.Trace = telemetry.NewTraceWriterCap(f.traceEvents)
+	}
+	return tel, closeFn, nil
 }
 
 func closeAll(files []*os.File) error {

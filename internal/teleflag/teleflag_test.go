@@ -24,6 +24,14 @@ func TestFlagsObserver(t *testing.T) {
 	if err := closeFn(); err != nil {
 		t.Fatalf("noop close: %v", err)
 	}
+	// A service's sink is always on, flags or not.
+	sink, closeFn, err := f.ServiceSink()
+	if err != nil || sink.Metrics == nil || sink.Trace == nil || sink.Flight == nil || sink.Events != nil {
+		t.Fatalf("flagless service sink: %+v, %v", sink, err)
+	}
+	if err := closeFn(); err != nil {
+		t.Fatalf("noop close: %v", err)
+	}
 
 	dir := t.TempDir()
 	events := filepath.Join(dir, "events.jsonl")
@@ -44,8 +52,8 @@ func TestFlagsObserver(t *testing.T) {
 	if f.PerfettoPath() != perfetto {
 		t.Fatalf("PerfettoPath %q, want %q", f.PerfettoPath(), perfetto)
 	}
-	if f.TraceEventCap() != 128 || f.FlightFrames() != 16 {
-		t.Fatalf("caps %d/%d, want 128/16", f.TraceEventCap(), f.FlightFrames())
+	if f.TraceEventCap() != 128 || f.flightFrames != 16 {
+		t.Fatalf("caps %d/%d, want 128/16", f.TraceEventCap(), f.flightFrames)
 	}
 	obs, closeFn, err = f.Observer()
 	if err != nil {
@@ -63,13 +71,24 @@ func TestFlagsObserver(t *testing.T) {
 		}
 	}
 
+	// With -events alone the service sink is the observer's, and still
+	// carries a trace ring for /debug/trace.
+	f.perfetto = ""
+	sink, closeFn, err = f.ServiceSink()
+	if err != nil || sink.Events == nil || sink.Trace == nil || sink.Flight.Depth() != 16 {
+		t.Fatalf("service sink with -events: %+v, %v", sink, err)
+	}
+	if err := closeFn(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
 	// -events repeats accumulate (feves-trace's merge input)...
 	set("events", filepath.Join(dir, "node1.jsonl"))
 	if got := f.EventsPaths(); len(got) != 2 {
 		t.Fatalf("EventsPaths after a repeat = %v, want 2 entries", got)
 	}
 	// ...but writing through Observer only supports one sink.
-	if _, _, err := f.Observer(); err == nil {
+	if _, _, err := f.ServiceSink(); err == nil {
 		t.Fatal("multiple -events files accepted for writing")
 	}
 

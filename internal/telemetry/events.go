@@ -54,14 +54,13 @@ type FrameStartEvent struct {
 	Intra   bool   `json:"intra"`
 }
 
-// FrameEndEvent is the per-frame summary record: the measured
-// synchronization points, the distribution vectors, the per-module device
-// time and the functional coding outcome.
-type FrameEndEvent struct {
-	Type    string `json:"type"` // "frame_end"
-	Node    string `json:"node,omitempty"`
-	Session string `json:"session,omitempty"`
-	Frame   int    `json:"frame"`
+// FrameRecord is the per-frame summary, declared once: the framework fills
+// it from core.Result and hands it to FrameEnd, and both the frame_end event
+// and the flight recorder's FlightEntry embed it, so its JSON tags are the
+// wire format of the event stream and of /debug/flight alike. Slice fields
+// and LP may alias the caller's scratch; every sink copies what it keeps.
+type FrameRecord struct {
+	Frame int `json:"frame"`
 	// Attempt is the successful attempt index (omitted for first-try
 	// frames; >0 after failover retries).
 	Attempt int  `json:"attempt,omitempty"`
@@ -74,6 +73,10 @@ type FrameEndEvent struct {
 	Tau1 float64 `json:"tau1"`
 	Tau2 float64 `json:"tau2"`
 	Tot  float64 `json:"tau_tot"`
+	// PairMakespan is the joint makespan of the two-frame window the frame
+	// ran in (omitted for a serial frame): the pair's throughput is 2 frames
+	// per PairMakespan seconds.
+	PairMakespan float64 `json:"pair_seconds,omitempty"`
 	// PredTau1/PredTau2/PredTot are the LP's predictions (zero for non-LP
 	// balancers and the equidistant initialization frame).
 	PredTau1 float64 `json:"pred_tau1,omitempty"`
@@ -85,6 +88,12 @@ type FrameEndEvent struct {
 	M             []int   `json:"m,omitempty"`
 	L             []int   `json:"l,omitempty"`
 	S             []int   `json:"s,omitempty"`
+	// Sigma/SigmaR/DeltaM/DeltaL are Algorithm 2's deferred-transfer and
+	// redistribution vectors (absent for non-LP balancers).
+	Sigma  []int `json:"sigma,omitempty"`
+	SigmaR []int `json:"sigma_r,omitempty"`
+	DeltaM []int `json:"delta_m,omitempty"`
+	DeltaL []int `json:"delta_l,omitempty"`
 	// ModME..ModRStar are summed device-seconds per module group.
 	ModME    float64 `json:"mod_me,omitempty"`
 	ModINT   float64 `json:"mod_int,omitempty"`
@@ -92,9 +101,17 @@ type FrameEndEvent struct {
 	ModRStar float64 `json:"mod_rstar,omitempty"`
 	Bits     int     `json:"bits,omitempty"`
 	PSNRY    float64 `json:"psnr_y,omitempty"`
-	// LPSolve is the frame's LP-solver work delta (absent when the
-	// balancer solved no LP this frame).
-	LPSolve *LPSolveStats `json:"lp_solve,omitempty"`
+	// LP is the frame's LP-solver work delta (nil when the balancer solved
+	// no LP this frame).
+	LP *LPSolveStats `json:"lp_solve,omitempty"`
+}
+
+// FrameEndEvent is the per-frame summary record of the event stream.
+type FrameEndEvent struct {
+	Type    string `json:"type"` // "frame_end"
+	Node    string `json:"node,omitempty"`
+	Session string `json:"session,omitempty"`
+	FrameRecord
 }
 
 // DeviceDrift is one device/module model change caused by a frame's EWMA
@@ -145,9 +162,9 @@ type HealthEvent struct {
 	Node    string `json:"node,omitempty"`
 	Session string `json:"session,omitempty"`
 	Frame   int    `json:"frame"`
-	Device int    `json:"device"`
-	From   string `json:"from"`
-	To     string `json:"to"`
+	Device  int    `json:"device"`
+	From    string `json:"from"`
+	To      string `json:"to"`
 	// Reason is the deadline point that tripped ("tau1", "tau2",
 	// "tau_tot", "task") or "recovered" for the clean-streak return path.
 	Reason string `json:"reason,omitempty"`

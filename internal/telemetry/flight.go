@@ -8,44 +8,37 @@ import (
 )
 
 // FlightEntry is one frame's full schedule record as the flight recorder
-// keeps it: the causal identity {session, frame, attempt}, the measured
-// and predicted synchronization points, the distribution vectors of
-// Algorithm 2, the LP solver work the decision cost, and the executed
-// task spans — everything needed to reconstruct the frame's Fig. 4
-// timeline after the fact.
+// keeps it: the causal identity {node, session, frame, attempt}, then —
+// through the embedded FrameRecord — the measured and predicted
+// synchronization points, the distribution vectors of Algorithm 2 and the LP
+// solver work the decision cost, and the executed task spans: everything
+// needed to reconstruct the frame's Fig. 4 timeline after the fact.
 type FlightEntry struct {
 	Seq     uint64 `json:"seq"`
 	Node    string `json:"node,omitempty"`
 	Session string `json:"session,omitempty"`
-	Frame   int    `json:"frame"`
-	Attempt int    `json:"attempt,omitempty"`
-	Intra   bool   `json:"intra,omitempty"`
-	Chain   int    `json:"chain,omitempty"`
-
-	Tau1     float64 `json:"tau1,omitempty"`
-	Tau2     float64 `json:"tau2,omitempty"`
-	Tot      float64 `json:"tau_tot,omitempty"`
-	PredTau1 float64 `json:"pred_tau1,omitempty"`
-	PredTau2 float64 `json:"pred_tau2,omitempty"`
-	PredTot  float64 `json:"pred_tau_tot,omitempty"`
-
-	RStarDev      int     `json:"rstar_dev,omitempty"`
-	SchedOverhead float64 `json:"sched_overhead,omitempty"`
-
-	M      []int `json:"m,omitempty"`
-	L      []int `json:"l,omitempty"`
-	S      []int `json:"s,omitempty"`
-	Sigma  []int `json:"sigma,omitempty"`
-	SigmaR []int `json:"sigma_r,omitempty"`
-	DeltaM []int `json:"delta_m,omitempty"`
-	DeltaL []int `json:"delta_l,omitempty"`
-
-	// LP is the solver work of this frame's balancing decision (zero for
-	// equidistant/initialization frames).
-	LP LPSolveStats `json:"lp_solve"`
-
+	FrameRecord
 	// Spans is the executed schedule of the successful attempt.
 	Spans []Span `json:"spans,omitempty"`
+}
+
+// copyFrom makes e a deep copy of rec and spans, reusing the slice storage e
+// already holds; lp is the cell a non-nil rec.LP is copied into.
+func (e *FlightEntry) copyFrom(rec *FrameRecord, spans []Span, lp *LPSolveStats) {
+	old := e.FrameRecord
+	e.FrameRecord = *rec
+	e.M = append(old.M[:0], rec.M...)
+	e.L = append(old.L[:0], rec.L...)
+	e.S = append(old.S[:0], rec.S...)
+	e.Sigma = append(old.Sigma[:0], rec.Sigma...)
+	e.SigmaR = append(old.SigmaR[:0], rec.SigmaR...)
+	e.DeltaM = append(old.DeltaM[:0], rec.DeltaM...)
+	e.DeltaL = append(old.DeltaL[:0], rec.DeltaL...)
+	if rec.LP != nil {
+		*lp = *rec.LP
+		e.LP = lp
+	}
+	e.Spans = append(e.Spans[:0], spans...)
 }
 
 // LPSolveStats is the per-frame delta of the LP solver's cumulative
@@ -59,8 +52,6 @@ type LPSolveStats struct {
 	DegeneratePivots int `json:"degenerate_pivots,omitempty"`
 	BlandPivots      int `json:"bland_pivots,omitempty"`
 }
-
-func (s LPSolveStats) zero() bool { return s == LPSolveStats{} }
 
 // Incident is one exceptional occurrence the recorder keeps alongside the
 // frame ring: a deadline retry, a health-state transition, a device loss,
@@ -116,11 +107,12 @@ const maxFlightBundles = 16
 // safe for concurrent use across tenants.
 type FlightRecorder struct {
 	mu        sync.Mutex
-	ring      []FlightEntry // fixed-size slot array, slices reused in place
-	next      int           // next slot to overwrite
-	count     int           // committed entries, ≤ len(ring)
-	seq       uint64        // global commit sequence
-	incidents []Incident    // ring, same discipline
+	ring      []FlightEntry  // fixed-size slot array, slices reused in place
+	lps       []LPSolveStats // lps[i] backs ring[i].LP
+	next      int            // next slot to overwrite
+	count     int            // committed entries, ≤ len(ring)
+	seq       uint64         // global commit sequence
+	incidents []Incident     // ring, same discipline
 	incNext   int
 	incCount  int
 	bundles   []Bundle
@@ -136,6 +128,7 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	}
 	return &FlightRecorder{
 		ring:      make([]FlightEntry, n),
+		lps:       make([]LPSolveStats, n),
 		incidents: make([]Incident, n),
 	}
 }
@@ -148,36 +141,19 @@ func (r *FlightRecorder) Depth() int {
 	return len(r.ring)
 }
 
-// Commit copies e into the next ring slot, reusing the slot's slice
-// storage. e may alias caller scratch — the recorder owns only the copy.
-// Nil-receiver safe.
-func (r *FlightRecorder) Commit(e *FlightEntry) {
+// Commit copies one frame — its summary and executed spans, under the
+// reporting scope's node and session — into the next ring slot, reusing the
+// slot's slice storage. rec and spans may alias caller scratch: the
+// recorder owns only the copy. Nil-receiver safe.
+func (r *FlightRecorder) Commit(node, session string, rec *FrameRecord, spans []Span) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.seq++
 	slot := &r.ring[r.next]
-	slot.Seq = r.seq
-	slot.Node = e.Node
-	slot.Session = e.Session
-	slot.Frame = e.Frame
-	slot.Attempt = e.Attempt
-	slot.Intra = e.Intra
-	slot.Chain = e.Chain
-	slot.Tau1, slot.Tau2, slot.Tot = e.Tau1, e.Tau2, e.Tot
-	slot.PredTau1, slot.PredTau2, slot.PredTot = e.PredTau1, e.PredTau2, e.PredTot
-	slot.RStarDev = e.RStarDev
-	slot.SchedOverhead = e.SchedOverhead
-	slot.M = append(slot.M[:0], e.M...)
-	slot.L = append(slot.L[:0], e.L...)
-	slot.S = append(slot.S[:0], e.S...)
-	slot.Sigma = append(slot.Sigma[:0], e.Sigma...)
-	slot.SigmaR = append(slot.SigmaR[:0], e.SigmaR...)
-	slot.DeltaM = append(slot.DeltaM[:0], e.DeltaM...)
-	slot.DeltaL = append(slot.DeltaL[:0], e.DeltaL...)
-	slot.LP = e.LP
-	slot.Spans = append(slot.Spans[:0], e.Spans...)
+	slot.Seq, slot.Node, slot.Session = r.seq, node, session
+	slot.copyFrom(rec, spans, &r.lps[r.next])
 	r.next = (r.next + 1) % len(r.ring)
 	if r.count < len(r.ring) {
 		r.count++
@@ -214,15 +190,9 @@ func (r *FlightRecorder) framesLocked() []FlightEntry {
 		start += len(r.ring)
 	}
 	for i := 0; i < r.count; i++ {
-		e := r.ring[(start+i)%len(r.ring)]
-		e.M = append([]int(nil), e.M...)
-		e.L = append([]int(nil), e.L...)
-		e.S = append([]int(nil), e.S...)
-		e.Sigma = append([]int(nil), e.Sigma...)
-		e.SigmaR = append([]int(nil), e.SigmaR...)
-		e.DeltaM = append([]int(nil), e.DeltaM...)
-		e.DeltaL = append([]int(nil), e.DeltaL...)
-		e.Spans = append([]Span(nil), e.Spans...)
+		slot := &r.ring[(start+i)%len(r.ring)]
+		e := FlightEntry{Seq: slot.Seq, Node: slot.Node, Session: slot.Session}
+		e.copyFrom(&slot.FrameRecord, slot.Spans, new(LPSolveStats))
 		out = append(out, e)
 	}
 	return out

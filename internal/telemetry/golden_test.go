@@ -45,17 +45,17 @@ func goldenCompare(t *testing.T, name string, got []byte) {
 func fixedEvents() []interface{} {
 	return []interface{}{
 		FrameStartEvent{Type: "frame_start", Frame: 0, Intra: true},
-		FrameEndEvent{Type: "frame_end", Frame: 0, Intra: true, Bits: 91234, PSNRY: 39.25},
+		FrameEndEvent{Type: "frame_end", FrameRecord: FrameRecord{Frame: 0, Intra: true, Bits: 91234, PSNRY: 39.25}},
 		FrameStartEvent{Type: "frame_start", Frame: 1},
-		FrameEndEvent{
-			Type: "frame_end", Frame: 1,
-			Tau1: 0.0125, Tau2: 0.0175, Tot: 0.021,
+		FrameEndEvent{Type: "frame_end", FrameRecord: FrameRecord{
+			Frame: 1,
+			Tau1:  0.0125, Tau2: 0.0175, Tot: 0.021,
 			PredTau1: 0.012, PredTau2: 0.017, PredTot: 0.0205,
 			SchedOverhead: 0.0004, RStarDev: 0,
 			M: []int{40, 28}, L: []int{40, 28}, S: []int{34, 34},
 			ModME: 0.009, ModINT: 0.003, ModSME: 0.006, ModRStar: 0.0035,
 			Bits: 45678, PSNRY: 38.5,
-		},
+		}},
 		AuditEvent{
 			Type: "balancer_audit", Frame: 1, Balancer: "lp",
 			PredTot: 0.0205, Measured: 0.021, AbsErr: 0.0005, RelErr: 0.0238,

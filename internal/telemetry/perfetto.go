@@ -8,8 +8,12 @@ import (
 )
 
 // Span is one executed schedule task (kernel, transfer or barrier) on a
-// named resource, in seconds relative to the frame's start. It mirrors
-// vcm.TaskSpan without importing it, keeping this package a leaf.
+// named resource, in seconds relative to the frame's start. It is the one
+// span type of the repository, declared here because this package is a leaf:
+// the Video Coding Manager fills it from the simulator's tasks
+// (vcm.TaskSpan is an alias), the schedule checker validates it
+// (check.Span is an alias), and the trace ring, the flight recorder and
+// feves-trace carry it unconverted.
 type Span struct {
 	Resource string  `json:"resource"`
 	Label    string  `json:"label"`

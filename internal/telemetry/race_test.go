@@ -32,12 +32,11 @@ func TestConcurrentSessionScopes(t *testing.T) {
 			}
 			for f := 1; f <= frames; f++ {
 				sc.FrameStart(f, false)
-				sc.FrameSpans(f, f%3, 0.010, 0.015, 0.020, 0.020, spans)
 				sc.FrameEnd(FrameRecord{
 					Frame: f, Attempt: f % 3, Tau1: 0.010, Tau2: 0.015, Tot: 0.020,
 					PredTot: 0.019, M: []int{4, 2}, L: []int{3, 3},
-					LP: LPSolveStats{Solves: 1, Pivots: 7},
-				})
+					LP: &LPSolveStats{Solves: 1, Pivots: 7},
+				}, spans, 0.020)
 				sc.Audit(AuditRecord{Frame: f, Balancer: "lp", PredTot: 0.019, Measured: 0.020})
 				switch f % 40 {
 				case 10:

@@ -17,37 +17,6 @@ var (
 	relErrBuckets    = []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1}
 )
 
-// FrameRecord is the hook payload of one completed frame; the framework
-// fills it from core.Result.
-type FrameRecord struct {
-	Frame         int
-	Attempt       int // successful attempt index (0 = first try)
-	Intra         bool
-	Chain         int // reference chain (0 on single-chain streams)
-	Tau1, Tau2    float64
-	Tot           float64
-	PredTau1      float64
-	PredTau2      float64
-	PredTot       float64
-	SchedOverhead float64 // seconds
-	RStarDev      int
-	M, L, S       []int
-	// Sigma/SigmaR/DeltaM/DeltaL are Algorithm 2's deferred-transfer and
-	// redistribution vectors (nil for non-LP balancers); the flight
-	// recorder keeps them per frame.
-	Sigma, SigmaR  []int
-	DeltaM, DeltaL []int
-	// LP is the frame's LP-solver work delta (zero when the balancer did
-	// not solve an LP this frame).
-	LP       LPSolveStats
-	ModME    float64
-	ModINT   float64
-	ModSME   float64
-	ModRStar float64
-	Bits     int
-	PSNRY    float64
-}
-
 // AuditRecord is the hook payload of one balancer decision: the predicted
 // versus measured τtot and the model drift its measurements caused.
 type AuditRecord struct {
@@ -67,9 +36,9 @@ type AuditRecord struct {
 // shares the underlying sinks but stamps every event, metric and trace
 // slice with the session label and gives the tenant its own Perfetto
 // lane. Scoped or not, the steady-state hook path (FrameStart, FrameEnd,
-// Audit, FrameSpans) allocates nothing once its cached instruments are
-// minted — the flight recorder and trace ring reuse slot storage, and
-// event structs are only built when an EventLog is attached.
+// Audit) allocates nothing once its cached instruments are minted — the
+// flight recorder and trace ring reuse slot storage, and event structs are
+// only built when an EventLog is attached.
 type Telemetry struct {
 	Metrics *Registry
 	Events  *EventLog
@@ -80,23 +49,9 @@ type Telemetry struct {
 	session string // tenant label; "" = unscoped
 	pid     int    // perfetto lane (0 = unscoped lane)
 
-	mu      sync.Mutex
-	offset  float64 // perfetto run-time offset in seconds
-	inst    *instruments
-	// pending stages up to two frames' spans between FrameSpans and the
-	// FrameEnd commit: with frame-parallel encoding the VCM stages both
-	// frames of a pair before the core layer commits the first, so a
-	// single slot would drop frame A's spans when frame B arrives.
-	pending    [2]pendingSpans
-	pendingIdx int         // slot the next stage overwrites (round-robin)
-	scratch    FlightEntry // reused flight-commit staging
-}
-
-// pendingSpans is one staged frame awaiting its FrameEnd commit.
-type pendingSpans struct {
-	frame int
-	spans []Span // aliases caller scratch until the frame commits
-	has   bool
+	mu     sync.Mutex
+	offset float64 // perfetto run-time offset in seconds
+	inst   *instruments
 }
 
 // instruments caches the registry lookups of the steady-state hook path.
@@ -117,7 +72,7 @@ type instruments struct {
 	retries     *Counter
 	predAbs     *Histogram
 	predRel     *Histogram
-	decisions   map[string]*Counter   // by balancer name
+	decisions   map[string]*Counter // by balancer name
 	drift       map[driftKey]*driftPair
 	lpWarm      *Counter
 	lpCold      *Counter
@@ -271,7 +226,7 @@ func (t *Telemetry) mint() *instruments {
 	in.tauTot = r.Histogram("feves_tau_tot_seconds", "Measured inter-loop time per frame (τtot).", frameTimeBuckets, t.labels()...)
 	in.tau1 = r.Histogram("feves_tau1_seconds", "Measured first synchronization point (τ1).", frameTimeBuckets, t.labels()...)
 	in.schedOH = r.Histogram("feves_sched_overhead_seconds", "Wall-clock cost of each balancing decision.", overheadBuckets, t.labels()...)
-	in.fps = r.Gauge("feves_fps", "Frame rate implied by the last frame's τtot.", t.labels()...)
+	in.fps = r.Gauge("feves_fps", "Simulated frame rate of the last frame: 1/τtot, or 2/pair makespan when it ran frame-parallel.", t.labels()...)
 	in.psnr = r.Gauge("feves_psnr_y_db", "Luma PSNR of the last coded frame.", t.labels()...)
 	in.codedBits = r.Counter("feves_coded_bits_total", "Total coded bitstream size.", t.labels()...)
 	in.spans = r.Counter("feves_schedule_spans_total", "Executed schedule tasks (kernels, transfers, barriers).", t.labels()...)
@@ -303,29 +258,29 @@ func (t *Telemetry) FrameStart(frame int, intra bool) {
 	}
 }
 
-// FrameEnd records a completed frame: the summary event, the standard
-// metrics (frame counters, τtot/overhead histograms, throughput gauges,
-// LP-solver counters) and the flight-recorder commit.
-func (t *Telemetry) FrameEnd(rec FrameRecord) {
+// FrameEnd reports one completed frame, once: rec is its summary, spans its
+// executed schedule (nil for a scheduled intra frame, which runs none). It
+// feeds the summary event, the standard metrics (frame counters,
+// τtot/overhead histograms, throughput gauges, LP-solver counters), the
+// whole-run Perfetto timeline and the flight recorder. rec's slices and
+// spans may alias caller scratch: every sink copies what it keeps before
+// FrameEnd returns.
+//
+// An inter frame lands on the timeline at the scope's current run offset,
+// which then moves on by advance, decoupled from the frame's τtot: a serial
+// frame advances it by tot so consecutive frames abut on the tenant's lane,
+// while the frames of a jointly scheduled window share one simulated
+// interval — all but the last completed one advance by zero so they land
+// on the same trace origin (their spans interleave on the device lanes, as
+// they did on the devices), and the last advances by the window's makespan.
+// The advance also meters the simulated-time counter, so a window accrues
+// its makespan once.
+func (t *Telemetry) FrameEnd(rec FrameRecord, spans []Span, advance float64) {
 	if t == nil {
 		return
 	}
 	if t.Events != nil {
-		ev := FrameEndEvent{
-			Type: "frame_end", Node: t.node, Session: t.session, Frame: rec.Frame,
-			Attempt: rec.Attempt, Intra: rec.Intra, Chain: rec.Chain,
-			Tau1: rec.Tau1, Tau2: rec.Tau2, Tot: rec.Tot,
-			PredTau1: rec.PredTau1, PredTau2: rec.PredTau2, PredTot: rec.PredTot,
-			SchedOverhead: rec.SchedOverhead, RStarDev: rec.RStarDev,
-			M: rec.M, L: rec.L, S: rec.S,
-			ModME: rec.ModME, ModINT: rec.ModINT, ModSME: rec.ModSME, ModRStar: rec.ModRStar,
-			Bits: rec.Bits, PSNRY: rec.PSNRY,
-		}
-		if !rec.LP.zero() {
-			lp := rec.LP
-			ev.LPSolve = &lp
-		}
-		t.Events.Emit(ev)
+		t.Events.Emit(FrameEndEvent{Type: "frame_end", Node: t.node, Session: t.session, FrameRecord: rec})
 	}
 	if t.Metrics != nil {
 		in := t.ins()
@@ -336,9 +291,16 @@ func (t *Telemetry) FrameEnd(rec FrameRecord) {
 			in.tauTot.Observe(rec.Tot)
 			in.tau1.Observe(rec.Tau1)
 			in.schedOH.Observe(rec.SchedOverhead)
-			if rec.Tot > 0 {
+			// The rule of core.Result.FPS: a paired frame ran at two
+			// frames per pair makespan.
+			switch {
+			case rec.PairMakespan > 0:
+				in.fps.Set(2 / rec.PairMakespan)
+			case rec.Tot > 0:
 				in.fps.Set(1 / rec.Tot)
 			}
+			in.spans.Add(float64(len(spans)))
+			in.simSeconds.Add(advance)
 		}
 		if rec.Bits > 0 {
 			in.codedBits.Add(float64(rec.Bits))
@@ -346,63 +308,37 @@ func (t *Telemetry) FrameEnd(rec FrameRecord) {
 		if rec.PSNRY > 0 {
 			in.psnr.Set(rec.PSNRY)
 		}
-		if !rec.LP.zero() {
-			if rec.LP.WarmSolves > 0 {
-				in.lpWarm.Add(float64(rec.LP.WarmSolves))
+		if lp := rec.LP; lp != nil {
+			if lp.WarmSolves > 0 {
+				in.lpWarm.Add(float64(lp.WarmSolves))
 			}
-			if rec.LP.ColdSolves > 0 {
-				in.lpCold.Add(float64(rec.LP.ColdSolves))
+			if lp.ColdSolves > 0 {
+				in.lpCold.Add(float64(lp.ColdSolves))
 			}
-			if rec.LP.WarmRejects > 0 {
-				in.lpWarmRej.Add(float64(rec.LP.WarmRejects))
+			if lp.WarmRejects > 0 {
+				in.lpWarmRej.Add(float64(lp.WarmRejects))
 			}
-			if rec.LP.Pivots > 0 {
-				in.lpPivots.Add(float64(rec.LP.Pivots))
+			if lp.Pivots > 0 {
+				in.lpPivots.Add(float64(lp.Pivots))
 			}
-			if rec.LP.DegeneratePivots > 0 {
-				in.lpDegen.Add(float64(rec.LP.DegeneratePivots))
+			if lp.DegeneratePivots > 0 {
+				in.lpDegen.Add(float64(lp.DegeneratePivots))
 			}
-			if rec.LP.BlandPivots > 0 {
-				in.lpBland.Add(float64(rec.LP.BlandPivots))
+			if lp.BlandPivots > 0 {
+				in.lpBland.Add(float64(lp.BlandPivots))
 			}
 		}
 	}
-	t.commitFlight(&rec)
-}
-
-// commitFlight stages the frame into the scope's reusable FlightEntry —
-// slice fields alias the caller's scratch, which stays valid until the
-// next frame — and commits it; the recorder copies into its ring slot.
-func (t *Telemetry) commitFlight(rec *FrameRecord) {
-	if t.Flight == nil {
-		return
-	}
-	t.mu.Lock()
-	e := &t.scratch
-	e.Node = t.node
-	e.Session = t.session
-	e.Frame = rec.Frame
-	e.Attempt = rec.Attempt
-	e.Intra = rec.Intra
-	e.Chain = rec.Chain
-	e.Tau1, e.Tau2, e.Tot = rec.Tau1, rec.Tau2, rec.Tot
-	e.PredTau1, e.PredTau2, e.PredTot = rec.PredTau1, rec.PredTau2, rec.PredTot
-	e.RStarDev = rec.RStarDev
-	e.SchedOverhead = rec.SchedOverhead
-	e.M, e.L, e.S = rec.M, rec.L, rec.S
-	e.Sigma, e.SigmaR = rec.Sigma, rec.SigmaR
-	e.DeltaM, e.DeltaL = rec.DeltaM, rec.DeltaL
-	e.LP = rec.LP
-	e.Spans = nil
-	for i := range t.pending {
-		if t.pending[i].has && t.pending[i].frame == rec.Frame {
-			e.Spans = t.pending[i].spans
-			t.pending[i].has = false
-			break
+	if !rec.Intra {
+		t.mu.Lock()
+		off := t.offset
+		t.offset += advance
+		t.mu.Unlock()
+		if t.Trace != nil {
+			t.Trace.AddFrame(t.pid, rec.Frame, rec.Attempt, off, rec.Tau1, rec.Tau2, rec.Tot, spans)
 		}
 	}
-	t.Flight.Commit(e)
-	t.mu.Unlock()
+	t.Flight.Commit(t.node, t.session, &rec, spans)
 }
 
 // Audit records one balancer decision's predicted-vs-measured outcome and
@@ -564,40 +500,3 @@ func (t *Telemetry) CaptureBundle(reason string, frame int, detail string) Bundl
 	}
 	return b
 }
-
-// FrameSpans records one frame's executed schedule. Spans feed the
-// whole-run Perfetto timeline at the scope's current run offset and are
-// staged for the flight recorder until FrameEnd commits the frame. spans
-// may alias caller scratch; it is only read before the next frame starts.
-//
-// The run offset then moves on by advance, decoupled from the frame's
-// τtot: a serial frame advances it by tot so consecutive frames abut on
-// the tenant's lane, while the frames of a jointly scheduled window share
-// one simulated interval — all but the last advance by zero so they land
-// on the same trace origin (their spans interleave on the device lanes, as
-// they did on the devices), and the last advances by the window's
-// makespan. The advance also meters the simulated-time counter, so a
-// window accrues its makespan once.
-func (t *Telemetry) FrameSpans(frame, attempt int, tau1, tau2, tot, advance float64, spans []Span) {
-	if t == nil {
-		return
-	}
-	if t.Metrics != nil {
-		in := t.ins()
-		in.spans.Add(float64(len(spans)))
-		in.simSeconds.Add(advance)
-	}
-	t.mu.Lock()
-	slot := &t.pending[t.pendingIdx]
-	t.pendingIdx = 1 - t.pendingIdx
-	slot.frame = frame
-	slot.spans = spans
-	slot.has = true
-	off := t.offset
-	t.offset += advance
-	t.mu.Unlock()
-	if t.Trace != nil {
-		t.Trace.AddFrame(t.pid, frame, attempt, off, tau1, tau2, tot, spans)
-	}
-}
-

@@ -36,7 +36,20 @@ func Gantt(ft vcm.FrameTiming, width int) string {
 			nameW = len(n)
 		}
 	}
+	// col maps a time to its chart column, clamped into the chart: spans and
+	// markers may lie outside [0, τtot] (a flight document is outside
+	// input), and a NaN lands on column 0.
 	scale := float64(width) / ft.Tot
+	col := func(t float64) int {
+		p := t * scale
+		switch {
+		case !(p > 0):
+			return 0
+		case p >= float64(width):
+			return width - 1
+		}
+		return int(p)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "frame %d: τ1=%.2fms τ2=%.2fms τtot=%.2fms (R* on device %d)\n",
 		ft.Frame, ft.Tau1*1e3, ft.Tau2*1e3, ft.Tot*1e3, ft.RStarDev)
@@ -46,12 +59,7 @@ func Gantt(ft vcm.FrameTiming, width int) string {
 			line[i] = '.'
 		}
 		for _, s := range rows[name] {
-			lo := int(s.Start * scale)
-			hi := int(s.End * scale)
-			if hi >= width {
-				hi = width - 1
-			}
-			for i := lo; i <= hi && i < width; i++ {
+			for i, hi := col(s.Start), col(s.End); i <= hi; i++ {
 				line[i] = '#'
 			}
 		}
@@ -60,11 +68,7 @@ func Gantt(ft vcm.FrameTiming, width int) string {
 			t float64
 			c byte
 		}{{ft.Tau1, '1'}, {ft.Tau2, '2'}} {
-			p := int(m.t * scale)
-			if p >= width {
-				p = width - 1
-			}
-			if line[p] == '.' {
+			if p := col(m.t); line[p] == '.' {
 				line[p] = m.c
 			}
 		}

@@ -85,13 +85,9 @@ type FrameTiming struct {
 	Spans []TaskSpan
 }
 
-// TaskSpan records one executed schedule task.
-type TaskSpan struct {
-	Resource string
-	Label    string
-	Start    float64
-	End      float64
-}
+// TaskSpan records one executed schedule task: the repository's one span
+// type, which the checker, the trace ring and the flight recorder take as is.
+type TaskSpan = telemetry.Span
 
 // FPS returns the frame rate implied by the total inter-loop time.
 func (t FrameTiming) FPS() float64 {
@@ -135,8 +131,8 @@ type Manager struct {
 	Mode     Mode
 	// Enc is the functional encoder; required in Functional mode.
 	Enc *codec.Encoder
-	// Telemetry receives every frame's executed schedule spans for the
-	// whole-run Perfetto timeline; nil disables the hook.
+	// Telemetry counts the CheckObserve violations; completed frames are
+	// reported to it by the core layer, not from here.
 	Telemetry *telemetry.Telemetry
 	// Check runs the internal/check schedule validator on every executed
 	// frame: the Algorithm-2 distribution invariants, the data-access
@@ -155,10 +151,6 @@ type Manager struct {
 	// reaches every accelerator) are scheduled for them. The distribution
 	// must assign such devices zero rows.
 	Down []bool
-	// Attempt is the current retry attempt of the window being executed
-	// (0 = first try); the core layer sets it before each run so trace
-	// slices and the flight recorder carry the causal attempt index.
-	Attempt int
 
 	// slots holds the in-flight frames' retained build state and out their
 	// results, so the steady-state frame loop allocates nothing. Shared
@@ -196,8 +188,6 @@ type frameSlot struct {
 	tau2Deps       []*simclock.Task
 	tau1, tau2     *simclock.Task
 	spans          []TaskSpan
-	chkSpans       []check.Span
-	telSpans       []telemetry.Span
 }
 
 // obsRec is one schedule task pending a Performance Characterization
@@ -596,24 +586,7 @@ func (m *Manager) EncodeFrames(pm *sched.PerfModel, frames ...FrameInput) ([]Fra
 		}
 	}
 	for k := range out {
-		s := &m.slots[k]
-		if m.Telemetry.Enabled() {
-			// The frames of a window share one simulated interval: all but
-			// the last advance the run offset by zero so they land on the
-			// same trace origin, and the last advances it by the makespan.
-			// The trace writer copies the spans it keeps, so the conversion
-			// scratch can be reused next call.
-			advance := 0.0
-			if k == n-1 {
-				advance = makespan
-			}
-			s.telSpans = s.telSpans[:0]
-			for _, sp := range s.spans {
-				s.telSpans = append(s.telSpans, telemetry.Span{Resource: sp.Resource, Label: sp.Label, Start: sp.Start, End: sp.End})
-			}
-			m.Telemetry.FrameSpans(out[k].Frame, m.Attempt, out[k].Tau1, out[k].Tau2, out[k].Tot, advance, s.telSpans)
-		}
-		m.observe(s, &frames[k], &out[k], pm)
+		m.observe(&m.slots[k], &frames[k], &out[k], pm)
 	}
 	return out, err
 }
@@ -624,12 +597,8 @@ func (m *Manager) runChecks(pm *sched.PerfModel, frames []FrameInput, out []Fram
 	pl := m.Platform
 	topo := sched.Topology{NumGPU: pl.NumGPUs(), Cores: pl.Cores, Down: m.Down}
 	for k := range out {
-		s, in, ft := &m.slots[k], &frames[k], &out[k]
-		s.chkSpans = s.chkSpans[:0]
-		for _, sp := range s.spans {
-			s.chkSpans = append(s.chkSpans, check.Span{Resource: sp.Resource, Label: sp.Label, Start: sp.Start, End: sp.End})
-		}
-		if err := check.Frame(topo, in.W, in.D, pm, s.chkSpans, ft.Tau1, ft.Tau2, ft.Tot); err != nil {
+		in, ft := &frames[k], &out[k]
+		if err := check.Frame(topo, in.W, in.D, pm, ft.Spans, ft.Tau1, ft.Tau2, ft.Tot); err != nil {
 			if verr := m.reportCheck(in.Frame, err); verr != nil {
 				return verr
 			}
@@ -638,8 +607,8 @@ func (m *Manager) runChecks(pm *sched.PerfModel, frames []FrameInput, out []Fram
 	if len(out) < 2 {
 		return nil
 	}
-	a := check.PairExec{Frame: out[0].Frame, Chain: out[0].Chain, Spans: m.slots[0].chkSpans, Tot: out[0].Tot}
-	b := check.PairExec{Frame: out[1].Frame, Chain: out[1].Chain, Spans: m.slots[1].chkSpans, Tot: out[1].Tot}
+	a := check.PairExec{Frame: out[0].Frame, Chain: out[0].Chain, Spans: out[0].Spans, Tot: out[0].Tot}
+	b := check.PairExec{Frame: out[1].Frame, Chain: out[1].Chain, Spans: out[1].Spans, Tot: out[1].Tot}
 	if err := check.Pair(a, b); err != nil {
 		return m.reportCheck(b.Frame, err)
 	}
