@@ -215,10 +215,3 @@ func TestIntraPeriodIDR(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

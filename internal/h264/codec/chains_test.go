@@ -10,11 +10,14 @@ import (
 // TestRefChains drives the reference state through IDR → inter frames → IDR
 // the way both Encoder and Decoder do and pins what they rely on: an IDR
 // seeds every chain with the one frame, inter frames alternate chains, each
-// chain ramps to NumRF and then evicts its oldest, and at every prediction
-// sfs[i] is the sub-frame of refs[i] with nothing beyond the references.
+// chain ramps to NumRF and then evicts its oldest, at every prediction
+// sfs[i] is the sub-frame of refs[i] with nothing beyond the references —
+// and what the encoder's recycling relies on: every frame and sub-frame
+// handed in is handed back exactly once, and not while a chain holds it
+// (the IDR seed sits in every chain until the last one evicts it).
 func TestRefChains(t *testing.T) {
 	for _, tc := range []struct{ chains, numRF, inter int }{
-		{1, 1, 3}, {1, 3, 6}, {2, 1, 4}, {2, 2, 7}, {2, 4, 12},
+		{1, 1, 3}, {1, 3, 6}, {2, 1, 4}, {2, 1, 1}, {2, 2, 1}, {2, 2, 7}, {2, 4, 3}, {2, 4, 12},
 	} {
 		rc := newRefChains(tc.chains, tc.numRF)
 		// Sub-frames are per chain: each chain interpolates the shared seed
@@ -24,12 +27,42 @@ func TestRefChains(t *testing.T) {
 			f     *h264.Frame
 		}
 		sfOf := map[key]*interp.SubFrame{}
-		for round := 0; round < 2; round++ {
+		var free freeList
+		in, back := 0, map[any]bool{} // buffers handed in; handed back
+		want := make([][]*h264.Frame, tc.chains)
+		checkFree := func(when string) {
+			t.Helper()
+			for _, f := range free.frames {
+				if back[f] {
+					t.Fatalf("%+v: %s: a frame was released twice", tc, when)
+				}
+				back[f] = true
+				for c := range want {
+					for _, held := range want[c] {
+						if held == f {
+							t.Fatalf("%+v: %s: released a frame chain %d still references", tc, when, c)
+						}
+					}
+				}
+			}
+			for _, sf := range free.sfs {
+				if back[sf] {
+					t.Fatalf("%+v: %s: a sub-frame was released twice", tc, when)
+				}
+				back[sf] = true
+			}
+			free = freeList{}
+		}
+		for round := 0; round < 3; round++ {
 			seed := h264.NewFrame(16, 16)
-			rc.idr(seed)
-			want := make([][]*h264.Frame, tc.chains) // each chain's references, newest first
-			for c := range want {
+			in++
+			for c := range want { // each chain's references, newest first
 				want[c] = []*h264.Frame{seed}
+			}
+			rc.idr(seed, &free)
+			checkFree("idr")
+			if round == 2 {
+				break // the flush of round 1 is what this round checks
 			}
 			for i := 0; i < tc.inter; i++ {
 				c := rc.next()
@@ -37,9 +70,10 @@ func TestRefChains(t *testing.T) {
 					t.Fatalf("%+v: inter %d on chain %d, want %d", tc, i, c, i%tc.chains)
 				}
 				sf := &interp.SubFrame{}
+				in++
 				sfOf[key{c, want[c][0]}] = sf
 				rc.installSF(c, sf)
-				refs, sfs := rc.lists(c)
+				refs, sfs := rc.lists(c, nil)
 				if len(refs) != len(want[c]) || len(sfs) != tc.numRF {
 					t.Fatalf("%+v: inter %d has %d refs and %d SF slots, want %d and %d",
 						tc, i, len(refs), len(sfs), len(want[c]), tc.numRF)
@@ -53,12 +87,17 @@ func TestRefChains(t *testing.T) {
 					}
 				}
 				recon := h264.NewFrame(16, 16)
-				rc.push(c, recon)
+				in++
 				want[c] = append([]*h264.Frame{recon}, want[c]...)
 				if len(want[c]) > tc.numRF {
 					want[c] = want[c][:tc.numRF]
 				}
+				free.put(rc.push(c, recon))
+				checkFree("push")
 			}
+		}
+		if held := 1; len(back) != in-held { // all but the last seed
+			t.Fatalf("%+v: %d of %d buffers came back, want %d", tc, len(back), in, in-held)
 		}
 	}
 }

@@ -202,12 +202,28 @@ func sliceTopRow(starts []int, mby int) int {
 	return top
 }
 
+// sliceIndex returns the index of the slice containing row mby.
+func sliceIndex(starts []int, mby int) int {
+	idx := 0
+	for i, st := range starts {
+		if st <= mby {
+			idx = i
+		}
+	}
+	return idx
+}
+
 // MECfg returns the motion-estimation parameters.
 func (c Config) MECfg() me.Config { return me.Config{SearchRange: c.SearchRange} }
 
 // FrameJob carries the intermediate state of one inter-frame through the
 // pipeline stages. The buffers correspond exactly to the paper's CF, MV
 // (from ME), MV (from SME) and the newly interpolated part of the SF.
+//
+// A job belongs to its encoder, one per reference chain: BeginFrameOn hands
+// out the chain's job again, so a job is valid until the next frame is begun
+// on its chain and one that is abandoned (a deadline retry, the second frame
+// of a pair behind a scene cut) costs nothing.
 type FrameJob struct {
 	CF    *h264.Frame
 	ME    *h264.MVField    // integer-pel FSBM output
@@ -217,8 +233,22 @@ type FrameJob struct {
 	// reconstructs into (always 0 with a single chain).
 	Chain int
 
+	// intComplete: CompleteINT ran, NewSF belongs to the reference chains.
 	intComplete bool
+	enc         *Encoder
+	// The job's row-sliceable stages as pool kernels; they live here so
+	// that batching a frame's stages allocates nothing.
+	me, interp, sme, borders stageRows
 }
+
+// stageRows is one row-sliceable stage of a job.
+type stageRows struct {
+	job *FrameJob
+	run func(e *Encoder, job *FrameJob, lo, hi int)
+}
+
+// RunRows implements h264.RowKernel.
+func (k *stageRows) RunRows(lo, hi int) { k.run(k.job.enc, k.job, lo, hi) }
 
 // partForBlock returns the partition index (within the decided mode) that
 // covers 4×4 block (bx, by) of the macroblock.
@@ -285,10 +315,16 @@ func (s arithSource) readBlock(b *[16]int32) error {
 	return nil
 }
 
-// reconCRC hashes the reconstructed frame for the optional per-frame
-// integrity trailer.
+// reconCRC hashes the reconstructed frame — the CRC-32 of its packed I420
+// bytes, taken row by row — for the optional per-frame integrity trailer.
 func reconCRC(f *h264.Frame) uint32 {
-	return crc32.ChecksumIEEE(f.PackedYUV())
+	var crc uint32
+	for _, p := range planes(f) {
+		for y := 0; y < p.H; y++ {
+			crc = crc32.Update(crc, crc32.IEEETable, p.Row(y))
+		}
+	}
+	return crc
 }
 
 // writeSequenceHeader emits the stream preamble.

@@ -161,7 +161,7 @@ func (d *Decoder) decodeIntra() (*h264.Frame, error) {
 	recon.Poc = d.poc
 	recon.IsIntra = true
 	d.poc++
-	d.refs.idr(recon)
+	d.refs.idr(recon, nil) // the frames are the caller's: nothing is recycled
 	return recon, nil
 }
 
@@ -192,7 +192,7 @@ func (d *Decoder) decodeInter() (*h264.Frame, error) {
 	newSF := interp.NewSubFrame(d.cfg.Width, d.cfg.Height)
 	interp.Interpolate(d.refs.dpb[chain].Ref(0).Y, newSF)
 	d.refs.installSF(chain, newSF)
-	refs, sfs := d.refs.lists(chain)
+	refs, sfs := d.refs.lists(chain, nil)
 
 	qpDelta, err := d.r.ReadSE()
 	if err != nil {

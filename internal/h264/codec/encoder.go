@@ -4,15 +4,20 @@ import (
 	"fmt"
 
 	"feves/internal/h264"
+	"feves/internal/h264/deblock"
 	"feves/internal/h264/entropy"
 	"feves/internal/h264/interp"
+	"feves/internal/h264/mc"
 	"feves/internal/h264/me"
 	"feves/internal/h264/rd"
 	"feves/internal/h264/sme"
 )
 
 // Encoder is the stateful sequence encoder. It owns the reference chains
-// (the state its decoder reproduces) and the output bitstream writer.
+// (the state its decoder reproduces), the output bitstream writer and the
+// working set of a frame: every buffer a frame needs is either in a chain,
+// in a job, in the free list or in the R* scratch, and a steady-state inter
+// frame allocates none (DESIGN.md, "Who owns a frame's buffers").
 type Encoder struct {
 	cfg       Config
 	w         *entropy.BitWriter
@@ -20,6 +25,22 @@ type Encoder struct {
 	frames    int
 	lastRecon *h264.Frame
 	rc        *RateControl // nil when rate control is off
+
+	// free is what the chains evicted; jobs is one job per chain.
+	free freeList
+	jobs []FrameJob
+	// R* scratch, overwritten by every frame.
+	dec    mc.Decision
+	bi     *deblock.BlockInfo
+	repMV  []h264.MV
+	starts []int // first macroblock row of each slice, then the row count
+	slices []sliceCoder
+	pass   slicePass
+	batch  []h264.RowTask
+
+	// poison fills every buffer about to be reused with values no encode
+	// produces, so a test sees a read of a stale byte as a changed stream.
+	poison bool
 }
 
 // NewEncoder creates an encoder and writes the sequence header.
@@ -28,10 +49,13 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 		return nil, err
 	}
 	e := &Encoder{
-		cfg:  cfg,
-		w:    entropy.NewBitWriter(),
-		refs: newRefChains(cfg.chains(), cfg.NumRF),
+		cfg:    cfg,
+		w:      entropy.NewBitWriter(),
+		refs:   newRefChains(cfg.chains(), cfg.NumRF),
+		jobs:   make([]FrameJob, cfg.chains()),
+		starts: append(sliceStarts(cfg.MBRows(), cfg.sliceCount()), cfg.MBRows()),
 	}
+	e.slices = newSliceCoders(cfg.Entropy, len(e.starts)-1)
 	if cfg.TargetBitsPerFrame > 0 {
 		rc, err := NewRateControl(cfg.TargetBitsPerFrame, cfg.PQP, 12, 51)
 		if err != nil {
@@ -121,18 +145,18 @@ type InterPlan struct {
 // is written down; the schedule the VCM simulates decides which device a
 // range is charged to, not when its rows are computed.
 func (e *Encoder) RunInter(job *FrameJob, plan *InterPlan) rd.FrameStats {
-	batch := make([]h264.RowTask, 0, len(plan.ME)+len(plan.INT))
-	batch = appendTasks(batch, func(lo, hi int) { e.RunME(job, lo, hi) }, plan.ME)
-	batch = appendTasks(batch, func(lo, hi int) { e.RunINT(job, lo, hi) }, plan.INT)
+	batch := appendTasks(e.batch[:0], &job.me, plan.ME)
+	batch = appendTasks(batch, &job.interp, plan.INT)
 	h264.ParallelBatch(batch, plan.Ways)
-	e.CompleteINT(job)
-	batch = appendTasks(batch[:0], func(lo, hi int) { e.RunSME(job, lo, hi) }, plan.SME)
+	e.completeINT(job, plan.Ways)
+	batch = appendTasks(batch[:0], &job.sme, plan.SME)
 	h264.ParallelBatch(batch, plan.Ways)
+	e.batch = batch[:0]
 	return e.runRStar(job, plan.Ways)
 }
 
 // appendTasks appends one task of kernel k per row range.
-func appendTasks(batch []h264.RowTask, k h264.RowFunc, ranges []RowRange) []h264.RowTask {
+func appendTasks(batch []h264.RowTask, k h264.RowKernel, ranges []RowRange) []h264.RowTask {
 	for _, r := range ranges {
 		batch = append(batch, h264.RowTask{K: k, Lo: r.Lo, Hi: r.Hi})
 	}
@@ -147,10 +171,50 @@ func (e *Encoder) checkFrame(cf *h264.Frame) error {
 	return nil
 }
 
-// BeginFrame allocates the working buffers of one inter-frame on the
-// serial path's next chain (round-robin with two chains). The chain's DPB
-// must hold at least one reference (i.e. the intra frame was already
-// encoded).
+// frame takes a reconstruction buffer from the free list, allocating only
+// when the list is empty. Its samples are stale: R* writes every one.
+func (e *Encoder) frame() *h264.Frame {
+	n := len(e.free.frames)
+	if n == 0 {
+		return h264.NewFrame(e.cfg.Width, e.cfg.Height)
+	}
+	f := e.free.frames[n-1]
+	e.free.frames = e.free.frames[:n-1]
+	if e.poison {
+		poisonFrame(f)
+	}
+	return f
+}
+
+// subFrame is frame for the sixteen planes INT fills.
+func (e *Encoder) subFrame() *interp.SubFrame {
+	n := len(e.free.sfs)
+	if n == 0 {
+		return interp.NewSubFrame(e.cfg.Width, e.cfg.Height)
+	}
+	sf := e.free.sfs[n-1]
+	e.free.sfs = e.free.sfs[:n-1]
+	if e.poison {
+		poisonSubFrame(sf)
+	}
+	return sf
+}
+
+// field returns f, or a new motion field of the sequence's geometry when f
+// is nil. ME and SME overwrite every entry of the rows they are given.
+func (e *Encoder) field(f *h264.MVField) *h264.MVField {
+	if f == nil {
+		return h264.NewMVField(e.cfg.Width/h264.MBSize, e.cfg.MBRows(), e.cfg.NumRF)
+	}
+	if e.poison {
+		poisonField(f)
+	}
+	return f
+}
+
+// BeginFrame opens one inter-frame on the serial path's next chain
+// (round-robin with two chains). The chain's DPB must hold at least one
+// reference (i.e. the intra frame was already encoded).
 func (e *Encoder) BeginFrame(cf *h264.Frame) *FrameJob {
 	return e.BeginFrameOn(cf, e.refs.next())
 }
@@ -158,7 +222,9 @@ func (e *Encoder) BeginFrame(cf *h264.Frame) *FrameJob {
 // BeginFrameOn opens an inter-frame on an explicit reference chain — the
 // frame-parallel path, where the caller pipelines two frames on the two
 // chains and the serial round-robin assignment (which only advances when a
-// frame *completes*) would hand both in-flight frames the same chain.
+// frame *completes*) would hand both in-flight frames the same chain. It
+// returns the chain's job, reset for cf: an earlier job on the chain that
+// never reached R* is overwritten, its buffers reused.
 func (e *Encoder) BeginFrameOn(cf *h264.Frame, chain int) *FrameJob {
 	if chain < 0 || chain >= e.Chains() {
 		panic(fmt.Sprintf("codec: chain %d of %d", chain, e.Chains()))
@@ -169,13 +235,25 @@ func (e *Encoder) BeginFrameOn(cf *h264.Frame, chain int) *FrameJob {
 	if err := e.checkFrame(cf); err != nil {
 		panic(err)
 	}
-	return &FrameJob{
-		CF:    cf,
-		ME:    h264.NewMVField(cf.MBWidth(), cf.MBHeight(), e.cfg.NumRF),
-		SME:   h264.NewMVField(cf.MBWidth(), cf.MBHeight(), e.cfg.NumRF),
-		NewSF: interp.NewSubFrame(cf.W, cf.H),
-		Chain: chain,
+	job := &e.jobs[chain]
+	if job.enc == nil {
+		*job = FrameJob{
+			Chain: chain, enc: e,
+			me:      stageRows{job, (*Encoder).RunME},
+			interp:  stageRows{job, (*Encoder).RunINT},
+			sme:     stageRows{job, (*Encoder).RunSME},
+			borders: stageRows{job, (*Encoder).extendSFBorders},
+		}
 	}
+	job.CF = cf
+	job.ME, job.SME = e.field(job.ME), e.field(job.SME)
+	if job.NewSF == nil || job.intComplete { // the last one went to the chain
+		job.NewSF = e.subFrame()
+	} else if e.poison {
+		poisonSubFrame(job.NewSF)
+	}
+	job.intComplete = false
+	return job
 }
 
 // RunME performs full-search motion estimation for macroblock rows
@@ -193,15 +271,26 @@ func (e *Encoder) RunINT(job *FrameJob, rowLo, rowHi int) {
 }
 
 // CompleteINT is the τ1 host-side step: it extends the new sub-frame's
-// borders and installs it as the sub-frame of the chain's reference 0,
-// making the full SF structure available to SME on every device.
-func (e *Encoder) CompleteINT(job *FrameJob) {
+// borders, KernelWorkers planes at a time, and installs it as the sub-frame
+// of the chain's reference 0, making the full SF structure available to SME
+// on every device.
+func (e *Encoder) CompleteINT(job *FrameJob) { e.completeINT(job, e.cfg.KernelWorkers) }
+
+func (e *Encoder) completeINT(job *FrameJob, ways int) {
 	if job.intComplete {
 		panic("codec: CompleteINT called twice")
 	}
-	job.NewSF.ExtendBorders()
+	h264.ParallelRows(&job.borders, 0, len(job.NewSF.Planes), ways)
 	e.refs.installSF(job.Chain, job.NewSF)
 	job.intComplete = true
+}
+
+// extendSFBorders extends the borders of planes [lo, hi) of the job's new
+// sub-frame: the planes share no samples, so they are row-kernel "rows".
+func (e *Encoder) extendSFBorders(job *FrameJob, lo, hi int) {
+	for _, p := range job.NewSF.Planes[lo:hi] {
+		p.ExtendBorder()
+	}
 }
 
 // RunSME refines macroblock rows [rowLo, rowHi) on the SF structure.
@@ -215,5 +304,8 @@ func (e *Encoder) RunSME(job *FrameJob, rowLo, rowHi int) {
 
 // LastRecon returns the most recently reconstructed reference frame (the
 // RF+1 buffer the paper transfers back to the host after R*). It is the
-// frame a conforming decoder must reproduce bit-exactly.
+// frame a conforming decoder must reproduce bit-exactly. The frame belongs
+// to the encoder, which reuses it once its chain has evicted it: read it —
+// or Clone it — before the next frame on its chain (with one chain: the
+// next frame; an IDR is a frame on every chain) completes.
 func (e *Encoder) LastRecon() *h264.Frame { return e.lastRecon }

@@ -17,30 +17,10 @@ func (e *Encoder) EncodeIntraFrame(cf *h264.Frame) (rd.FrameStats, error) {
 		return rd.FrameStats{}, err
 	}
 	startBits := e.w.Len()
-	qp := e.cfg.IQP
-	recon := h264.NewFrame(cf.W, cf.H)
-	bi := deblock.NewBlockInfo(cf.W, cf.H)
-	mbw, mbh := cf.MBWidth(), cf.MBHeight()
 
 	e.w.WriteUE(0) // frame type: I
-	starts := sliceStarts(mbh, e.cfg.sliceCount())
-	hw, sinks := e.beginFrameEntropy(len(starts))
-	for mby := 0; mby < mbh; mby++ {
-		topY := sliceTopRow(starts, mby) * h264.MBSize
-		lv := mbLevels{cf: cf, sink: sinks[sliceIndex(starts, mby)]}
-		for mbx := 0; mbx < mbw; mbx++ {
-			codeIntraMB(hw, &lv, recon, bi, mbx, mby, qp, topY)
-		}
-	}
-	e.assembleFrame(hw, sinks)
-
-	filterRecon(recon, bi, qp, e.cfg.KernelWorkers)
-	if e.cfg.Checksum {
-		e.w.WriteBits(reconCRC(recon), 32)
-	}
-	recon.Poc = cf.Poc
-	recon.IsIntra = true
-	e.refs.idr(recon)
+	recon := e.codeSlices(cf, nil, e.cfg.IQP, e.cfg.KernelWorkers)
+	e.refs.idr(recon, &e.free)
 	e.lastRecon = recon
 	e.frames++
 

@@ -105,3 +105,40 @@ func TestRunInterMatchesSerialStages(t *testing.T) {
 		}
 	}
 }
+
+// TestSlicesParallelBitExact codes the slices of every frame — intra and
+// inter, VLC (headers and blocks in each slice's own writer, spliced at
+// whatever bit phase the one before ended on) and arithmetic — at most ways
+// at a time on the row pool and requires the serial stream. Five slices over
+// 11 macroblock rows are uneven, and at 2 ways a task codes several. Under
+// -race this also proves the slices share no state.
+func TestSlicesParallelBitExact(t *testing.T) {
+	const w, h = 112, 176
+	scene := movingScene(w, h, 5, 13)
+	encode := func(slices int, arith bool, ways int) []byte {
+		cfg := sliceConfig(w, h, slices, arith)
+		cfg.IntraPeriod = 3
+		cfg.KernelWorkers = ways
+		enc, err := NewEncoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range scene {
+			if _, err := enc.EncodeFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return enc.Bitstream()
+	}
+	for _, slices := range []int{1, 2, 3, 5} {
+		for _, arith := range []bool{false, true} {
+			serial := encode(slices, arith, 1)
+			for _, ways := range []int{2, 8} {
+				if got := encode(slices, arith, ways); !bytes.Equal(got, serial) {
+					t.Errorf("%d slices, arith %v: %d ways changed the bitstream (%d vs %d bytes)",
+						slices, arith, ways, len(got), len(serial))
+				}
+			}
+		}
+	}
+}

@@ -45,14 +45,57 @@ func newRefChains(chains, numRF int) *refChains {
 // next is the chain the next serially coded inter frame uses.
 func (rc *refChains) next() int { return rc.sinceIDR % len(rc.dpb) }
 
+// freeList holds the reconstructions and sub-frames that left the chains:
+// nothing references them, so the next frame may overwrite them.
+type freeList struct {
+	frames []*h264.Frame
+	sfs    []*interp.SubFrame
+}
+
+// put adds what an eviction handed back; either may be nil.
+func (fl *freeList) put(f *h264.Frame, sf *interp.SubFrame) {
+	if f != nil {
+		fl.frames = append(fl.frames, f)
+	}
+	if sf != nil {
+		fl.sfs = append(fl.sfs, sf)
+	}
+}
+
+// holds reports whether a chain from index from on still references f.
+func (rc *refChains) holds(from int, f *h264.Frame) bool {
+	for _, dpb := range rc.dpb[from:] {
+		for i := 0; i < dpb.Len(); i++ {
+			if dpb.Ref(i) == f {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // idr applies IDR semantics: every chain and its sub-frames are flushed, so
 // prediction never crosses the intra frame, and all chains are seeded with
 // the same reconstruction — the shared root their first inter frames
-// predict from.
-func (rc *refChains) idr(recon *h264.Frame) {
+// predict from. What the flush evicts goes to free when it is non-nil (a
+// decoder's frames belong to its caller). The previous seed may still sit
+// in several chains: the last one flushed hands it over, once.
+func (rc *refChains) idr(recon *h264.Frame, free *freeList) {
 	for c, dpb := range rc.dpb {
+		if free != nil {
+			for i := 0; i < dpb.Len(); i++ {
+				if f := dpb.Ref(i); !rc.holds(c+1, f) {
+					free.put(f, nil)
+				}
+			}
+			for _, sf := range rc.sf[c] {
+				free.put(nil, sf)
+			}
+		}
 		dpb.Clear()
 		clear(rc.sf[c])
+	}
+	for _, dpb := range rc.dpb {
 		dpb.Push(recon)
 	}
 	rc.sinceIDR = 0
@@ -60,8 +103,9 @@ func (rc *refChains) idr(recon *h264.Frame) {
 
 // installSF makes sf the sub-frame of the chain's reference 0, shifting the
 // older ones one reference back. Each push is preceded by exactly one
-// install, so the list holds as many sub-frames as the DPB holds frames and
-// the one shifted off the end belongs to the frame the push will evict.
+// install, so the list holds as many sub-frames as the DPB holds frames; the
+// slot shifted off the end is empty, the push before having taken its
+// sub-frame along with its frame.
 func (rc *refChains) installSF(chain int, sf *interp.SubFrame) {
 	l := rc.sf[chain]
 	copy(l[1:], l)
@@ -69,19 +113,30 @@ func (rc *refChains) installSF(chain int, sf *interp.SubFrame) {
 }
 
 // push completes an inter frame: recon becomes the chain's reference 0 and
-// the round robin moves on.
-func (rc *refChains) push(chain int, recon *h264.Frame) {
-	rc.dpb[chain].Push(recon)
+// the round robin moves on. It returns what the push evicted, nil while the
+// chain ramps up: the sub-frame of the oldest reference, and the reference
+// itself unless another chain still predicts from it (the IDR seed sits in
+// every chain until the last one evicts it).
+func (rc *refChains) push(chain int, recon *h264.Frame) (evicted *h264.Frame, evictedSF *interp.SubFrame) {
+	if evicted = rc.dpb[chain].Push(recon); evicted != nil {
+		l := rc.sf[chain]
+		evictedSF, l[len(l)-1] = l[len(l)-1], nil
+		if rc.holds(0, evicted) {
+			evicted = nil
+		}
+	}
 	rc.sinceIDR++
+	return evicted, evictedSF
 }
 
-// lists returns the chain's reference frames, most recent first, and the
-// sub-frame list aligned with them (NumRF long, nil beyond the references).
-func (rc *refChains) lists(chain int) ([]*h264.Frame, []*interp.SubFrame) {
+// lists returns the chain's reference frames, most recent first, appended to
+// refs[:0], and the sub-frame list aligned with them (NumRF long, nil beyond
+// the references).
+func (rc *refChains) lists(chain int, refs []*h264.Frame) ([]*h264.Frame, []*interp.SubFrame) {
 	dpb := rc.dpb[chain]
-	refs := make([]*h264.Frame, dpb.Len())
-	for i := range refs {
-		refs[i] = dpb.Ref(i)
+	refs = refs[:0]
+	for i := 0; i < dpb.Len(); i++ {
+		refs = append(refs, dpb.Ref(i))
 	}
 	return refs, rc.sf[chain]
 }
@@ -95,6 +150,11 @@ type mbLevels struct {
 	cf   *h264.Frame
 	sink blockSink
 	src  blockSource
+	// blk is the one block buffer reconMB walks a macroblock with. It
+	// escapes through the entropy backend's interface, so it lives here
+	// rather than on reconMB's stack; both directions overwrite all
+	// sixteen levels.
+	blk [16]int32
 }
 
 // block fills blk with the levels of the 4×4 block at (x, y) of plane c,
@@ -127,9 +187,7 @@ func planes(f *h264.Frame) [3]*h264.Plane { return [3]*h264.Plane{f.Y, f.Cb, f.C
 func reconMB(lv *mbLevels, recon *h264.Frame, bi *deblock.BlockInfo, d *h264.MBDecision,
 	mbx, mby int, predY *[256]uint8, predCb, predCr *[64]uint8, qp int) error {
 
-	// One block buffer a macroblock: it escapes through the entropy
-	// backend's interface, and both directions overwrite all sixteen levels.
-	var blk [16]int32
+	blk := &lv.blk
 	preds := [3][]uint8{predY[:], predCb[:], predCr[:]}
 	for c, dst := range planes(recon) {
 		n := 4 // blocks a side: 16×16 luma, 8×8 chroma
@@ -141,11 +199,11 @@ func reconMB(lv *mbLevels, recon *h264.Frame, bi *deblock.BlockInfo, d *h264.MBD
 			for bx := 0; bx < n; bx++ {
 				x, y := mbx*ps+bx*4, mby*ps+by*4
 				pred := preds[c][by*4*ps+bx*4:]
-				coded, err := lv.block(&blk, c, x, y, pred, ps, qp)
+				coded, err := lv.block(blk, c, x, y, pred, ps, qp)
 				if err != nil {
 					return err
 				}
-				transform.TQInv(&blk, qp)
+				transform.TQInv(blk, qp)
 				for j := 0; j < 4; j++ {
 					for i := 0; i < 4; i++ {
 						dst.Set(x+i, y+j, transform.Clip255(int32(pred[j*ps+i])+blk[j*4+i]))

@@ -4,34 +4,18 @@ import (
 	"feves/internal/h264"
 	"feves/internal/h264/deblock"
 	"feves/internal/h264/entropy"
+	"feves/internal/h264/interp"
 	"feves/internal/h264/mc"
 	"feves/internal/h264/rd"
 )
 
-// filterRecon deblocks a reconstructed frame, filtering the three planes
-// concurrently when ways > 1. The planes share no samples and boundary
-// strengths depend only on BlockInfo, so the plane-parallel result is
-// bit-exact with the serial filter.
-func filterRecon(recon *h264.Frame, bi *deblock.BlockInfo, qp, ways int) {
-	if ways <= 1 {
-		deblock.FilterFrame(recon, bi, qp)
-		return
-	}
-	h264.ParallelRows(h264.RowFunc(func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			deblock.FilterPlane(recon, bi, qp, p)
-		}
-	}), 0, 3, 3)
-	recon.ExtendBorders()
-}
-
 // RunRStar executes the R* module group of the paper — Motion Compensation
 // (with partitioning-mode decision), Transform and Quantization, entropy
 // coding, Dequantization and Inverse Transform (reconstruction), and
-// Deblocking Filtering — sequentially, as on the single device the load
-// balancer assigns R* to. It pushes the reconstructed frame into the DPB
-// and returns the frame statistics. Only deblocking is split, across
-// KernelWorkers.
+// Deblocking Filtering — as on the single device the load balancer assigns
+// R* to. It pushes the reconstructed frame into the DPB and returns the
+// frame statistics. On the host the slices are coded, and the planes
+// deblocked, KernelWorkers at a time.
 func (e *Encoder) RunRStar(job *FrameJob) rd.FrameStats {
 	return e.runRStar(job, e.cfg.KernelWorkers)
 }
@@ -44,11 +28,15 @@ func (e *Encoder) runRStar(job *FrameJob, ways int) rd.FrameStats {
 	qp := e.frameQP()
 	startBits := e.w.Len()
 
-	dec := mc.DecideFrame(job.SME, qp)
-	if e.cfg.SceneCutThreshold > 0 && meanCostPerPixel(dec) > e.cfg.SceneCutThreshold {
+	if e.poison {
+		poisonDecision(&e.dec)
+	}
+	e.dec.Decide(job.SME, qp)
+	if e.cfg.SceneCutThreshold > 0 && meanCostPerPixel(&e.dec) > e.cfg.SceneCutThreshold {
 		// Inter prediction failed across the frame (scene change): discard
 		// the motion search and code an IDR instead. The decoder sees an
-		// ordinary intra frame.
+		// ordinary intra frame. The IDR flushes the sub-frame CompleteINT
+		// installed along with the rest of the chains.
 		stats, err := e.EncodeIntraFrame(cf)
 		if err != nil {
 			// cf was already validated by BeginFrame; this cannot happen.
@@ -56,51 +44,13 @@ func (e *Encoder) runRStar(job *FrameJob, ways int) rd.FrameStats {
 		}
 		return stats
 	}
-	recon := h264.NewFrame(cf.W, cf.H)
-	bi := deblock.NewBlockInfo(cf.W, cf.H)
-	mbw, mbh := cf.MBWidth(), cf.MBHeight()
-
-	refs, sfs := e.refs.lists(job.Chain)
 
 	e.w.WriteUE(1)                     // frame type: P
 	e.w.WriteSE(int32(qp - e.cfg.PQP)) // per-frame QP delta (rate control)
 
-	// Header bits and residual blocks may go to different sinks: with the
-	// arithmetic backend the residual forms one independent chunk per
-	// slice, emitted before the header region (see assembleFrame).
-	starts := sliceStarts(mbh, e.cfg.sliceCount())
-	hw, sinks := e.beginFrameEntropy(len(starts))
-	repMV := make([]h264.MV, mbw*mbh)
-	for mby := 0; mby < mbh; mby++ {
-		topRow := sliceTopRow(starts, mby)
-		lv := mbLevels{cf: cf, sink: sinks[sliceIndex(starts, mby)]}
-		for mbx := 0; mbx < mbw; mbx++ {
-			d := dec.At(mbx, mby)
-			// Macroblock header: mode, then per-partition ref and MVD
-			// against the slice-local median predictor.
-			pred := mc.MedianPredictorSlice(repMV, mbw, mbx, mby, topRow)
-			hw.WriteUE(uint32(d.Mode))
-			for k := 0; k < d.Mode.Count(); k++ {
-				hw.WriteUE(uint32(d.Ref[k]))
-				hw.WriteSE(int32(d.MV[k].X - pred.X))
-				hw.WriteSE(int32(d.MV[k].Y - pred.Y))
-			}
-			repMV[mby*mbw+mbx] = d.MV[0]
+	recon := e.codeSlices(cf, job, qp, ways)
 
-			var predY [256]uint8
-			var predCb, predCr [64]uint8
-			mc.PredictMB(d, sfs, refs, mbx, mby, &predY, &predCb, &predCr)
-			_ = reconMB(&lv, recon, bi, d, mbx, mby, &predY, &predCb, &predCr, qp) // only a decoder's levels can fail
-		}
-	}
-	e.assembleFrame(hw, sinks)
-
-	filterRecon(recon, bi, qp, ways)
-	if e.cfg.Checksum {
-		e.w.WriteBits(reconCRC(recon), 32)
-	}
-	recon.Poc = cf.Poc
-	e.refs.push(job.Chain, recon)
+	e.free.put(e.refs.push(job.Chain, recon))
 	e.lastRecon = recon
 	e.frames++
 
@@ -126,54 +76,151 @@ func meanCostPerPixel(dec *mc.Decision) float64 {
 	return total / float64(len(dec.MBs)*h264.MBSize*h264.MBSize)
 }
 
-// sliceIndex returns the index of the slice containing row mby.
-func sliceIndex(starts []int, mby int) int {
-	idx := 0
-	for i, st := range starts {
-		if st <= mby {
-			idx = i
-		}
-	}
-	return idx
+// sliceCoder is what one slice is coded with. Nothing in it is shared with
+// another slice — prediction (motion-vector and intra) stops at the slice's
+// first row too — so the slices of a frame are coded side by side.
+type sliceCoder struct {
+	// hw takes the slice's macroblock headers and, with the VLC backend,
+	// its residual blocks between them (the Baseline-profile layout; the
+	// stateless VLC needs no more isolation than its own writer).
+	hw entropy.BitWriter
+	// With the arithmetic backend the residual goes to an independent
+	// chunk with fresh contexts instead.
+	arith entropy.ArithEncoder
+	ctx   entropy.ResidualContexts
+	lv    mbLevels
 }
 
-// beginFrameEntropy returns the header writer and one residual sink per
-// slice. With the VLC backend everything goes to the main bitstream
-// (headers and blocks interleave exactly as in the Baseline-profile
-// layout, and the stateless VLC needs no per-slice isolation); with the
-// arithmetic backend headers accumulate in a side writer and every slice
-// gets an independent arithmetic chunk with fresh contexts.
-func (e *Encoder) beginFrameEntropy(slices int) (*entropy.BitWriter, []blockSink) {
-	sinks := make([]blockSink, slices)
+func newSliceCoders(mode EntropyMode, n int) []sliceCoder {
+	scs := make([]sliceCoder, n)
+	for i := range scs {
+		sc := &scs[i]
+		if mode == EntropyArith {
+			sc.lv.sink = arithSink{&sc.arith, &sc.ctx}
+		} else {
+			sc.lv.sink = vlcSink{&sc.hw}
+		}
+	}
+	return scs
+}
+
+// slicePass is the frame the slice tasks of one codeSlices call work on.
+type slicePass struct {
+	e         *Encoder
+	cf, recon *h264.Frame
+	qp        int
+	// job is nil for an intra frame; refs and sfs are its chain's lists
+	// (refs' backing array is kept from frame to frame).
+	job  *FrameJob
+	refs []*h264.Frame
+	sfs  []*interp.SubFrame
+}
+
+// RunRows codes slices [lo, hi): the kernel of codeSlices.
+func (p *slicePass) RunRows(lo, hi int) {
+	for s := lo; s < hi; s++ {
+		p.codeSlice(s)
+	}
+}
+
+// codeSlice codes every macroblock of slice s, in raster order, into the
+// slice's coder and reconstructs it into the pass's recon.
+func (p *slicePass) codeSlice(s int) {
+	e := p.e
+	sc := &e.slices[s]
+	sc.hw.Reset()
 	if e.cfg.Entropy == EntropyArith {
-		for i := range sinks {
-			sinks[i] = arithSink{
-				e:  entropy.NewArithEncoder(),
-				rc: entropy.NewResidualContexts(),
+		sc.arith.Reset()
+		sc.ctx.Reset()
+	}
+	sc.lv.cf = p.cf
+	topRow, end := e.starts[s], e.starts[s+1]
+	mbw := p.cf.MBWidth()
+	for mby := topRow; mby < end; mby++ {
+		for mbx := 0; mbx < mbw; mbx++ {
+			if p.job == nil {
+				codeIntraMB(&sc.hw, &sc.lv, p.recon, e.bi, mbx, mby, p.qp, topRow*h264.MBSize)
+				continue
 			}
+			d := e.dec.At(mbx, mby)
+			// Macroblock header: mode, then per-partition ref and MVD
+			// against the slice-local median predictor.
+			pred := mc.MedianPredictorSlice(e.repMV, mbw, mbx, mby, topRow)
+			sc.hw.WriteUE(uint32(d.Mode))
+			for k := 0; k < d.Mode.Count(); k++ {
+				sc.hw.WriteUE(uint32(d.Ref[k]))
+				sc.hw.WriteSE(int32(d.MV[k].X - pred.X))
+				sc.hw.WriteSE(int32(d.MV[k].Y - pred.Y))
+			}
+			e.repMV[mby*mbw+mbx] = d.MV[0]
+
+			var predY [256]uint8
+			var predCb, predCr [64]uint8
+			mc.PredictMB(d, p.sfs, p.refs, mbx, mby, &predY, &predCb, &predCr)
+			_ = reconMB(&sc.lv, p.recon, e.bi, d, mbx, mby, &predY, &predCb, &predCr, p.qp) // only a decoder's levels can fail
 		}
-		return entropy.NewBitWriter(), sinks
 	}
-	for i := range sinks {
-		sinks[i] = vlcSink{e.w}
-	}
-	return e.w, sinks
 }
 
-// assembleFrame finalizes one frame's payload in the main bitstream: with
-// VLC everything is already in place; with the arithmetic backend each
-// slice's chunk (length-prefixed, byte-aligned) and then the header region
-// are appended.
-func (e *Encoder) assembleFrame(hw *entropy.BitWriter, sinks []blockSink) {
-	if _, ok := sinks[0].(arithSink); ok {
-		for _, sk := range sinks {
-			chunk := sk.(arithSink).e.Finish()
+// codeSlices is the body R* (job set) and the intra frame (job nil) share
+// once the frame header is written: code the slices into a reconstruction
+// from the free list, at most ways at a time on the row pool (one slice is a
+// batch of one on the caller), put their bits into the main bitstream in
+// slice order, deblock (the three planes at a time when ways > 1), and
+// append the integrity trailer.
+func (e *Encoder) codeSlices(cf *h264.Frame, job *FrameJob, qp, ways int) *h264.Frame {
+	p := &e.pass
+	p.e, p.cf, p.recon, p.qp, p.job = e, cf, e.frame(), qp, job
+	if job != nil {
+		p.refs, p.sfs = e.refs.lists(job.Chain, p.refs)
+	}
+	if e.bi == nil {
+		e.bi = deblock.NewBlockInfo(e.cfg.Width, e.cfg.Height)
+		e.repMV = make([]h264.MV, len(e.bi.Intra))
+	} else if e.poison {
+		poisonBlockInfo(e.bi, e.repMV)
+	}
+	p.recon.Poc, p.recon.IsIntra = cf.Poc, job == nil
+
+	n := len(e.slices)
+	h264.ParallelRows(p, 0, n, min(ways, n))
+
+	// With the arithmetic backend each slice's chunk (length-prefixed,
+	// byte-aligned) precedes the header region; either way the slices'
+	// writers follow bit for bit, and the frame ends on a byte boundary.
+	if e.cfg.Entropy == EntropyArith {
+		for i := range e.slices {
+			chunk := e.slices[i].arith.Finish()
 			e.w.WriteUE(uint32(len(chunk)))
 			e.w.AlignByte()
 			e.w.WriteBytes(chunk)
 		}
-		e.w.WriteBytes(hw.Bytes()) // Bytes() zero-pads hw to a boundary
-		return
+	}
+	for i := range e.slices {
+		e.w.Append(&e.slices[i].hw)
 	}
 	e.w.AlignByte()
+
+	// The planes share no samples and boundary strengths depend only on
+	// BlockInfo, so filtering them side by side is bit-exact with the
+	// serial filter.
+	if ways <= 1 {
+		deblock.FilterFrame(p.recon, e.bi, p.qp)
+	} else {
+		h264.ParallelRows((*planeFilter)(p), 0, 3, 3)
+		p.recon.ExtendBorders()
+	}
+	if e.cfg.Checksum {
+		e.w.WriteBits(reconCRC(p.recon), 32)
+	}
+	return p.recon
+}
+
+// planeFilter is the pass as the kernel that deblocks planes [lo, hi).
+type planeFilter slicePass
+
+func (f *planeFilter) RunRows(lo, hi int) {
+	for p := lo; p < hi; p++ {
+		deblock.FilterPlane(f.recon, f.e.bi, f.qp, p)
+	}
 }

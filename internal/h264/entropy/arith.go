@@ -50,6 +50,10 @@ func NewArithEncoder() *ArithEncoder {
 	return &ArithEncoder{rng: 0xFFFFFFFF}
 }
 
+// Reset returns the encoder to its initial state for the next chunk,
+// keeping its output buffer: the bytes Finish returned are overwritten.
+func (e *ArithEncoder) Reset() { *e = ArithEncoder{rng: 0xFFFFFFFF, out: e.out[:0]} }
+
 // EncodeBit encodes one bit under the adaptive context.
 func (e *ArithEncoder) EncodeBit(c *Context, bit uint32) {
 	bound := (e.rng >> probBits) * c.p

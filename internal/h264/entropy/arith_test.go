@@ -1,6 +1,7 @@
 package entropy
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -221,5 +222,27 @@ func BenchmarkVLCBlock(b *testing.B) {
 			w.WriteBlock4x4(&blocks[j])
 		}
 		w.Bytes()
+	}
+}
+
+// TestArithEncoderResetStartsAFreshChunk codes two different chunks on one
+// encoder with Reset between them; the second must be what a new encoder
+// produces, with nothing of the first (pending bytes, carry, range) left.
+func TestArithEncoderResetStartsAFreshChunk(t *testing.T) {
+	chunk := func(e *ArithEncoder, seed int64) []byte {
+		rng := rand.New(rand.NewSource(seed))
+		ctx := NewContext()
+		for i := 0; i < 700; i++ {
+			e.EncodeBit(&ctx, uint32(rng.Intn(5)/4))
+			e.EncodeBypass(uint32(rng.Intn(2)))
+		}
+		return e.Finish()
+	}
+	reused := NewArithEncoder()
+	chunk(reused, 1)
+	reused.Reset()
+	got := chunk(reused, 2)
+	if want := chunk(NewArithEncoder(), 2); !bytes.Equal(got, want) {
+		t.Fatalf("chunk after Reset differs from a fresh encoder's (%d vs %d bytes)", len(got), len(want))
 	}
 }

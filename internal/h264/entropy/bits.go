@@ -23,6 +23,9 @@ type BitWriter struct {
 // NewBitWriter returns an empty writer.
 func NewBitWriter() *BitWriter { return &BitWriter{} }
 
+// Reset empties the writer, keeping its buffer for the next stream.
+func (w *BitWriter) Reset() { w.buf, w.cur, w.nCur = w.buf[:0], 0, 0 }
+
 // WriteBit appends a single bit (0 or 1).
 func (w *BitWriter) WriteBit(b uint) {
 	w.cur = w.cur<<1 | uint8(b&1)
@@ -39,9 +42,28 @@ func (w *BitWriter) WriteBits(v uint32, n uint) {
 	if n > 32 {
 		panic(fmt.Sprintf("entropy: WriteBits n=%d", n))
 	}
-	for i := int(n) - 1; i >= 0; i-- {
-		w.WriteBit(uint(v>>uint(i)) & 1)
+	for n > 0 {
+		k := min(8-w.nCur, n) // as many bits as the current byte still takes
+		n -= k
+		w.cur = w.cur<<k | uint8(v>>n)&(1<<k-1)
+		if w.nCur += k; w.nCur == 8 {
+			w.buf = append(w.buf, w.cur)
+			w.cur, w.nCur = 0, 0
+		}
 	}
+}
+
+// Append appends every bit written to src so far, whatever the bit phase
+// of either writer; src is left as it was.
+func (w *BitWriter) Append(src *BitWriter) {
+	if w.nCur == 0 {
+		w.buf = append(w.buf, src.buf...)
+	} else {
+		for _, b := range src.buf {
+			w.WriteBits(uint32(b), 8)
+		}
+	}
+	w.WriteBits(uint32(src.cur), src.nCur)
 }
 
 // Len returns the number of whole bits written so far.
@@ -58,11 +80,7 @@ func (w *BitWriter) Bytes() []byte {
 }
 
 // AlignByte pads with zero bits to the next byte boundary.
-func (w *BitWriter) AlignByte() {
-	for w.nCur != 0 {
-		w.WriteBit(0)
-	}
-}
+func (w *BitWriter) AlignByte() { w.WriteBits(0, (8-w.nCur)&7) }
 
 // BitReader consumes a bitstream MSB-first.
 type BitReader struct {

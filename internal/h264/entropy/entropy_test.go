@@ -1,6 +1,7 @@
 package entropy
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -240,4 +241,59 @@ func bitString(w *BitWriter) string {
 		}
 	}
 	return string(s)
+}
+
+// TestBitWriterAppendEveryPhase appends a source holding 0–23 bits to a
+// destination holding 0–15, so every pairing of bit phases occurs, and
+// checks the result against writing the same bits one at a time — which
+// also pins WriteBits' byte-at-a-time placement to WriteBit.
+func TestBitWriterAppendEveryPhase(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	bits := make([]uint, 48)
+	for i := range bits {
+		bits[i] = uint(rng.Intn(2))
+	}
+	for dstN := 0; dstN < 16; dstN++ {
+		for srcN := 0; srcN < 24; srcN++ {
+			want, dst, src := NewBitWriter(), NewBitWriter(), NewBitWriter()
+			for _, b := range bits[:dstN+srcN] {
+				want.WriteBit(b)
+			}
+			// Multi-bit writes on both sides, in uneven pieces.
+			writeIn := func(w *BitWriter, bs []uint) {
+				for len(bs) > 0 {
+					n := min(len(bs), 1+len(bs)%11)
+					var v uint32
+					for _, b := range bs[:n] {
+						v = v<<1 | uint32(b)
+					}
+					w.WriteBits(v|0xFFFF<<n, uint(n)) // bits above n must be ignored
+					bs = bs[n:]
+				}
+			}
+			writeIn(dst, bits[:dstN])
+			writeIn(src, bits[dstN:dstN+srcN])
+			srcLen := src.Len()
+			dst.Append(src)
+			if dst.Len() != dstN+srcN || src.Len() != srcLen {
+				t.Fatalf("dst %d + src %d bits: lengths %d and %d after Append", dstN, srcN, dst.Len(), src.Len())
+			}
+			if !bytes.Equal(dst.Bytes(), want.Bytes()) {
+				t.Fatalf("dst %d + src %d bits: got %x want %x", dstN, srcN, dst.Bytes(), want.Bytes())
+			}
+		}
+	}
+}
+
+func TestBitWriterReset(t *testing.T) {
+	w := NewBitWriter()
+	w.WriteBits(0x1FF, 9)
+	w.Reset()
+	if w.Len() != 0 {
+		t.Fatalf("Len %d after Reset", w.Len())
+	}
+	w.WriteBits(0x5, 3)
+	if got := w.Bytes(); len(got) != 1 || got[0] != 0xA0 {
+		t.Fatalf("after Reset wrote %x, want a0", got)
+	}
 }

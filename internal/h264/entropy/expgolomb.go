@@ -6,9 +6,7 @@ package entropy
 func (w *BitWriter) WriteUE(v uint32) {
 	x := v + 1
 	n := bitLen32(x)
-	for i := 0; i < n-1; i++ {
-		w.WriteBit(0)
-	}
+	w.WriteBits(0, uint(n-1))
 	w.WriteBits(x, uint(n))
 }
 

@@ -101,7 +101,7 @@ func NewDPB(capacity int) *DPB {
 	if capacity < 1 {
 		panic("h264: DPB capacity must be >= 1")
 	}
-	return &DPB{cap: capacity}
+	return &DPB{cap: capacity, frames: make([]*Frame, 0, capacity)}
 }
 
 // Cap returns the configured capacity (the encoder's RF parameter).
@@ -116,13 +116,21 @@ func (d *DPB) Len() int { return len(d.frames) }
 func (d *DPB) Ref(i int) *Frame { return d.frames[i] }
 
 // Push inserts a newly reconstructed frame as the most recent reference,
-// evicting the oldest when the buffer is full.
-func (d *DPB) Push(f *Frame) {
-	d.frames = append([]*Frame{f}, d.frames...)
-	if len(d.frames) > d.cap {
-		d.frames = d.frames[:d.cap]
+// shifting the others one place back, and returns the oldest when the buffer
+// was full: the frame no reference list reaches any more (nil otherwise).
+func (d *DPB) Push(f *Frame) (evicted *Frame) {
+	if len(d.frames) == d.cap {
+		evicted = d.frames[d.cap-1]
+	} else {
+		d.frames = d.frames[:len(d.frames)+1]
 	}
+	copy(d.frames[1:], d.frames)
+	d.frames[0] = f
+	return evicted
 }
 
 // Clear removes all reference frames.
-func (d *DPB) Clear() { d.frames = nil }
+func (d *DPB) Clear() {
+	clear(d.frames)
+	d.frames = d.frames[:0]
+}

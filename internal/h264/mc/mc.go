@@ -29,6 +29,9 @@ func Lambda(qp int) float64 {
 type Decision struct {
 	MBW, MBH int
 	MBs      []h264.MBDecision
+	// repMV holds the representative (first-partition) vector of each
+	// decided macroblock, used as the neighbour predictor.
+	repMV []h264.MV
 }
 
 // At returns the decision for macroblock (mbx, mby).
@@ -40,19 +43,28 @@ func (d *Decision) At(mbx, mby int) *h264.MBDecision { return &d.MBs[mby*d.MBW+m
 // top-right neighbours' decided 16×16-equivalent vectors (a simplification
 // of the per-partition predictor of the standard, documented in DESIGN.md).
 func DecideFrame(smeField *h264.MVField, qp int) *Decision {
-	mbw, mbh := smeField.MBW, smeField.MBH
-	dec := &Decision{MBW: mbw, MBH: mbh, MBs: make([]h264.MBDecision, mbw*mbh)}
-	lambda := Lambda(qp)
+	dec := new(Decision)
+	dec.Decide(smeField, qp)
+	return dec
+}
 
-	// repMV holds the representative (first-partition) vector of each
-	// decided macroblock, used as the neighbour predictor.
-	repMV := make([]h264.MV, mbw*mbh)
+// Decide is DecideFrame into dec, whose buffers are reused when they fit:
+// every entry is overwritten, whatever dec held.
+func (dec *Decision) Decide(smeField *h264.MVField, qp int) {
+	mbw, mbh := smeField.MBW, smeField.MBH
+	dec.MBW, dec.MBH = mbw, mbh
+	if cap(dec.MBs) < mbw*mbh {
+		dec.MBs = make([]h264.MBDecision, mbw*mbh)
+		dec.repMV = make([]h264.MV, mbw*mbh)
+	}
+	dec.MBs, dec.repMV = dec.MBs[:mbw*mbh], dec.repMV[:mbw*mbh]
+	lambda := Lambda(qp)
 
 	for mby := 0; mby < mbh; mby++ {
 		for mbx := 0; mbx < mbw; mbx++ {
-			pred := MedianPredictor(repMV, mbw, mbh, mbx, mby)
+			pred := MedianPredictor(dec.repMV, mbw, mbh, mbx, mby)
 			best := h264.MBDecision{Cost: math.MaxInt32}
-			for _, mode := range h264.AllModes() {
+			for _, mode := range h264.AllModes {
 				cand, ok := evaluateMode(smeField, mbx, mby, mode, pred, lambda)
 				if ok && cand.Cost < best.Cost {
 					best = cand
@@ -64,10 +76,9 @@ func DecideFrame(smeField *h264.MVField, qp int) *Decision {
 				best = h264.MBDecision{Mode: h264.Part16x16}
 			}
 			dec.MBs[mby*mbw+mbx] = best
-			repMV[mby*mbw+mbx] = best.MV[0]
+			dec.repMV[mby*mbw+mbx] = best.MV[0]
 		}
 	}
-	return dec
 }
 
 func evaluateMode(f *h264.MVField, mbx, mby int, mode h264.PartMode, pred h264.MV, lambda float64) (h264.MBDecision, bool) {

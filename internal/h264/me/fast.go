@@ -72,19 +72,19 @@ func SearchRowsAlgo(algo Algorithm, cf *h264.Frame, dpb *h264.DPB, cfg Config, f
 
 // fastSearchMB finds a macroblock-level vector with the fast pattern, then
 // gives every partition the best of that vector and its small-diamond
-// neighbours. Both steps go through the full search's blockSADs; the second
+// neighbours. Both steps go through the full search's BandSADs; the second
 // also through its fold. It returns the number of macroblock-level SAD
 // evaluations performed.
 func fastSearchMB(algo Algorithm, cur, ref *h264.Plane, r int, field *h264.MVField, mbx, mby, rf int) int {
 	x0, y0 := mbx*h264.MBSize, mby*h264.MBSize
-	var lanes mbLanes
-	lanes.load(cur, x0, y0)
+	var lanes h264.MBLanes
+	lanes.Load(cur, x0, y0)
 	refRaw, stride := ref.Raw(), ref.Stride
 	var blk [16]uint32
 	evals := 0
 	cost16 := func(dx, dy int) int32 {
 		evals++
-		blockSADs(&lanes, refRaw[ref.Idx(x0+dx, y0+dy):], stride, &blk)
+		lanes.BandSADs(0, 4, refRaw[ref.Idx(x0+dx, y0+dy):], stride, &blk)
 		var sum uint32
 		for _, s := range blk {
 			sum += s
@@ -112,7 +112,7 @@ func fastSearchMB(algo Algorithm, cur, ref *h264.Plane, r int, field *h264.MVFie
 	for i := range cands {
 		c := &cands[i]
 		c[0], c[1] = clampRange(c[0], r), clampRange(c[1], r)
-		blockSADs(&lanes, refRaw[ref.Idx(x0+c[0], y0+c[1]):], stride, &blk)
+		lanes.BandSADs(0, 4, refRaw[ref.Idx(x0+c[0], y0+c[1]):], stride, &blk)
 		best.fold(&blk, uint64(i))
 	}
 	for part := range best {

@@ -25,7 +25,7 @@ func smoothScene(w, h int) *h264.Frame {
 }
 
 // searchRowsAlgoRef is the oracle for the fast searches, written with SADRef
-// and sharing nothing with blockSADs/fold: the macroblock-level pattern on
+// and sharing nothing with BandSADs/fold: the macroblock-level pattern on
 // the 16×16 SAD, then every partition on its own over the five clamped
 // candidates, first-best under strict "<".
 func searchRowsAlgoRef(algo Algorithm, cf *h264.Frame, dpb *h264.DPB, cfg Config, field *h264.MVField, rowLo, rowHi int) {
@@ -53,7 +53,7 @@ func searchRowsAlgoRef(algo Algorithm, cf *h264.Frame, dpb *h264.DPB, cfg Config
 					bx, by = diamond(cost16, r)
 				}
 				cands := [5][2]int{{bx, by}, {bx + 1, by}, {bx - 1, by}, {bx, by + 1}, {bx, by - 1}}
-				for _, mode := range h264.AllModes() {
+				for _, mode := range h264.AllModes {
 					w, h := mode.Size()
 					for k := 0; k < mode.Count(); k++ {
 						ox, oy := mode.Offset(k)

@@ -5,9 +5,9 @@
 // partitioning modes) of every macroblock.
 //
 // One kernel serves the full search and the fast ones, in two steps per
-// candidate displacement. blockSADs computes the sixteen 4×4 SADs of the
-// macroblock: the current macroblock is split once into 16-bit SWAR lanes
-// (even and odd samples of each eight, the lane bias already applied), a
+// candidate displacement. h264.MBLanes.BandSADs computes the sixteen 4×4
+// SADs of the macroblock: the current macroblock is split once into 16-bit
+// SWAR lanes (even and odd samples of each eight, the lane bias applied), a
 // candidate's reference rows are differenced against them eight samples a
 // word, four rows accumulate in the lanes, and each 4-row band is reduced
 // horizontally once. bestKeys.fold is the classic SAD-reuse decomposition:
@@ -25,7 +25,6 @@
 package me
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -101,8 +100,8 @@ func markUnusable(field *h264.MVField, mbx, mby, rf int) {
 // returns the number of candidates evaluated, (2r)² whatever the content.
 func searchMB(cur, ref *h264.Plane, r int, field *h264.MVField, mbx, mby, rf int) int {
 	x0, y0 := mbx*h264.MBSize, mby*h264.MBSize
-	var lanes mbLanes
-	lanes.load(cur, x0, y0)
+	var lanes h264.MBLanes
+	lanes.Load(cur, x0, y0)
 	var best bestKeys
 	best.reset()
 
@@ -113,7 +112,7 @@ func searchMB(cur, ref *h264.Plane, r int, field *h264.MVField, mbx, mby, rf int
 	for dy := -r; dy < r; dy++ {
 		rowBase := ref.Idx(x0-r, y0+dy)
 		for dx := 0; dx < side; dx++ {
-			blockSADs(&lanes, refRaw[rowBase+dx:], stride, &blk)
+			lanes.BandSADs(0, 4, refRaw[rowBase+dx:], stride, &blk)
 			best.fold(&blk, scan)
 			scan++
 		}
@@ -125,51 +124,6 @@ func searchMB(cur, ref *h264.Plane, r int, field *h264.MVField, mbx, mby, rf int
 		field.Set(mbx, mby, part, rf, mv, sad)
 	}
 	return side * side
-}
-
-// mbLanes is the current macroblock in SWAR form, split once and reused by
-// every candidate: row y is four words of 16-bit lanes — the even and the
-// odd samples of its left eight, then of its right eight — each carrying
-// h264.LaneBias.
-type mbLanes [h264.MBSize][4]uint64
-
-func (l *mbLanes) load(cur *h264.Plane, x0, y0 int) {
-	raw := cur.Raw()
-	for y := range l {
-		row := raw[cur.Idx(x0, y0+y):]
-		le, lo := h264.EvenOdd(binary.LittleEndian.Uint64(row))
-		re, ro := h264.EvenOdd(binary.LittleEndian.Uint64(row[8:]))
-		l[y] = [4]uint64{le | h264.LaneBias, lo | h264.LaneBias, re | h264.LaneBias, ro | h264.LaneBias}
-	}
-}
-
-// blockSADs computes the sixteen 4×4 SADs (raster order) of the macroblock
-// against the 16×16 block whose top-left sample is ref[0]. The four rows of
-// a band accumulate in the 16-bit lanes as 256−|d| per sample — 4 rows ×
-// (even + odd) × 256 = 2048 per lane at most — and are turned into SADs and
-// reduced horizontally once per band.
-func blockSADs(l *mbLanes, ref []uint8, stride int, blk *[16]uint32) {
-	const bandOf256 = 0x0800080008000800 // 4 rows × (even + odd) × 256, every lane
-	for band := 0; band < 4; band++ {
-		var left, right uint64
-		for y := band * 4; y < band*4+4; y++ {
-			row := ref[y*stride : y*stride+h264.MBSize : y*stride+h264.MBSize]
-			c := &l[y]
-			e, o := h264.EvenOdd(binary.LittleEndian.Uint64(row))
-			left += h264.LanesAbsDiffFrom256(c[0], e) + h264.LanesAbsDiffFrom256(c[1], o)
-			e, o = h264.EvenOdd(binary.LittleEndian.Uint64(row[8:]))
-			right += h264.LanesAbsDiffFrom256(c[2], e) + h264.LanesAbsDiffFrom256(c[3], o)
-		}
-		// Lane k holds samples 2k and 2k+1 of its eight; adjacent lanes
-		// pair up into the two 4-wide cells.
-		left, right = bandOf256-left, bandOf256-right
-		left += left >> 16
-		right += right >> 16
-		blk[band*4] = uint32(left & 0xFFFF)
-		blk[band*4+1] = uint32(left >> 32 & 0xFFFF)
-		blk[band*4+2] = uint32(right & 0xFFFF)
-		blk[band*4+3] = uint32(right >> 32 & 0xFFFF)
-	}
 }
 
 // bestKeys holds the running minimum of each of the 41 partitions as the

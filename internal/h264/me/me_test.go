@@ -70,7 +70,7 @@ func TestSADNeverWorseThanZeroMV(t *testing.T) {
 	SearchRows(cur, dpb, Config{SearchRange: 6}, field, 0, cur.MBHeight())
 	for mby := 0; mby < cur.MBHeight(); mby++ {
 		for mbx := 0; mbx < cur.MBWidth(); mbx++ {
-			for _, m := range h264.AllModes() {
+			for _, m := range h264.AllModes {
 				w, h := m.Size()
 				for k := 0; k < m.Count(); k++ {
 					ox, oy := m.Offset(k)
@@ -98,7 +98,7 @@ func TestAgreesWithBruteForceOracle(t *testing.T) {
 
 	for mby := 0; mby < 2; mby++ {
 		for mbx := 0; mbx < 2; mbx++ {
-			for _, m := range h264.AllModes() {
+			for _, m := range h264.AllModes {
 				w, h := m.Size()
 				for k := 0; k < m.Count(); k++ {
 					ox, oy := m.Offset(k)
@@ -271,7 +271,7 @@ func TestSearchRowsMatchesScalarReference(t *testing.T) {
 	// the given SAD per sample.
 	wantAll := func(t *testing.T, field *h264.MVField, mv h264.MV, perSample int32) {
 		t.Helper()
-		for _, m := range h264.AllModes() {
+		for _, m := range h264.AllModes {
 			w, h := m.Size()
 			for k := 0; k < m.Count(); k++ {
 				got, cost := field.Get(0, 0, m.Base()+k, 0)

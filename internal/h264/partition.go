@@ -91,6 +91,4 @@ func (m PartMode) Blocks4x4(k int) []int {
 }
 
 // AllModes lists every partition mode in order.
-func AllModes() []PartMode {
-	return []PartMode{Part16x16, Part16x8, Part8x16, Part8x8, Part8x4, Part4x8, Part4x4}
-}
+var AllModes = [NumPartModes]PartMode{Part16x16, Part16x8, Part8x16, Part8x8, Part8x4, Part4x8, Part4x4}

@@ -4,7 +4,7 @@ import "testing"
 
 func TestPartitionCountsSumTo41(t *testing.T) {
 	sum := 0
-	for _, m := range AllModes() {
+	for _, m := range AllModes {
 		sum += m.Count()
 	}
 	if sum != TotalPartitions {
@@ -14,7 +14,7 @@ func TestPartitionCountsSumTo41(t *testing.T) {
 
 func TestPartitionAreasTile(t *testing.T) {
 	// Every mode must tile the 16x16 macroblock exactly.
-	for _, m := range AllModes() {
+	for _, m := range AllModes {
 		w, h := m.Size()
 		if w*h*m.Count() != MBSize*MBSize {
 			t.Errorf("mode %v: %d partitions of %dx%d do not tile the MB", m, m.Count(), w, h)
@@ -55,7 +55,7 @@ func TestPartitionBase(t *testing.T) {
 }
 
 func TestBlocks4x4Coverage(t *testing.T) {
-	for _, m := range AllModes() {
+	for _, m := range AllModes {
 		seen := make(map[int]bool)
 		for k := 0; k < m.Count(); k++ {
 			blocks := m.Blocks4x4(k)

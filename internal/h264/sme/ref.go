@@ -24,7 +24,7 @@ func RefineRowsRef(cf *h264.Frame, sfs []*interp.SubFrame, meField, out *h264.MV
 }
 
 func refineMBRef(cf *h264.Frame, sf *interp.SubFrame, meField, out *h264.MVField, mbx, mby, rf int) {
-	for _, mode := range h264.AllModes() {
+	for _, mode := range h264.AllModes {
 		w, h := mode.Size()
 		for k := 0; k < mode.Count(); k++ {
 			part := mode.Base() + k

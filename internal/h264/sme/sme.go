@@ -7,12 +7,17 @@
 // the classical refinement used by the JM reference encoder.
 //
 // The kernel extends the 4×4 SAD-reuse decomposition of the integer search
-// into the refinement: every partition is a union of 4×4 cells of the
-// macroblock grid (all 41 partition offsets and sizes are multiples of 4),
-// so per (macroblock, reference) the cell SADs are memoized per candidate
-// vector in a generation-stamped table and shared across all partitions
-// probing the same quarter-pel displacement. Cell SADs are computed four
-// samples at a time with the SWAR helpers of package h264.
+// into the refinement, on the integer search's own primitive. Every
+// partition is a union of 4×4 cells of the macroblock grid (all 41 partition
+// offsets and sizes are multiples of 4), and the two steps move a partition
+// at most three quarter-pels from its integer vector. So per (macroblock,
+// reference) the cell SADs are memoized by displacement in direct-indexed
+// windows, one per 4×4-pel tile of integer vectors some partition starts
+// from — the vectors of a macroblock mostly coincide or sit side by side, so
+// one window usually serves all 41 — and a window entry is filled a four-row
+// band at a time (h264.MBLanes.BandSADs against the right sub-position
+// plane, the macroblock split into lanes once) for exactly the bands a
+// probing partition covers.
 //
 // RefineRows is row-sliceable: a device assigned macroblock rows [lo, hi)
 // needs the ME vectors for those rows (the paper's MV→SME transfers) and
@@ -30,58 +35,61 @@ import (
 	"feves/internal/h264/interp"
 )
 
-// cellTabBits sizes the open-addressed memo table. At most 41 partitions ×
-// 17 candidates ≈ 700 distinct vectors are probed per (macroblock,
-// reference), so 2048 slots keep the load factor comfortable.
 const (
-	cellTabBits = 11
-	cellTabSize = 1 << cellTabBits
+	// reach is how far, in quarter-pels, the half-pel step (±2) and then
+	// the quarter-pel step (±1) can move a partition from its integer
+	// vector.
+	reach = 3
+	// A window serves the integer vectors of one tile, 1<<tileBits pels a
+	// side. Wider tiles share the evaluations of neighbouring vectors
+	// (the five candidates a fast search leaves differ by one pel) at the
+	// price of a larger window; measured on 720p diamond and CIF
+	// full-search fields, 4 pels is where the first stops paying.
+	tileBits = 2
+	tileQpel = 4 << tileBits
+	winSide  = tileQpel - 4 + 2*reach + 1
 )
 
-// cellEntry memoizes the sixteen 4×4 cell SADs of the macroblock for one
-// candidate quarter-pel vector. mask records which cells have been computed
-// so far; gen stamps the (macroblock, reference) the entry belongs to, so
-// advancing the generation invalidates the whole table without clearing it.
-type cellEntry struct {
-	key  uint32
-	gen  uint32
-	mask uint16
-	cell [16]int32
+// window memoizes the cell SADs of one macroblock at the winSide²
+// quarter-pel displacements the partitions starting in one tile can reach,
+// from (x0, y0) up: cell[i] holds the sixteen cells of displacement i — a
+// word of four 16-bit lanes per band, left to right from the low end (a cell
+// SAD is at most 16 × 255) — of which the four-row bands in bands[i] have
+// been computed.
+type window struct {
+	tile   h264.MV // integer vector >> tileBits
+	x0, y0 int
+	bands  [winSide * winSide]uint8
+	cell   [winSide * winSide][4]uint64
 }
 
+// scratch is the working set of one RefineRows call: the current macroblock
+// in lane form and one window per tile its partitions' integer vectors fall
+// in — mostly one; 41 partitions cannot open more than 41.
 type scratch struct {
-	tab [cellTabSize]cellEntry
-	gen uint32
+	lanes h264.MBLanes
+	wins  [h264.TotalPartitions]window
+	open  int // windows of the current (macroblock, reference)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func (s *scratch) nextGen() {
-	s.gen++
-	if s.gen == 0 { // wrapped: stamp collisions possible, clear and restart
-		s.tab = [cellTabSize]cellEntry{}
-		s.gen = 1
-	}
-}
-
-// lookup returns the memo entry for mv, claiming a stale slot if the vector
-// has not been seen this generation.
-func (s *scratch) lookup(mv h264.MV) *cellEntry {
-	key := uint32(uint16(mv.X))<<16 | uint32(uint16(mv.Y))
-	i := (key * 2654435761) >> (32 - cellTabBits)
-	for {
-		e := &s.tab[i]
-		if e.gen != s.gen {
-			e.gen = s.gen
-			e.key = key
-			e.mask = 0
-			return e
+// window returns the window serving integer vector imv, opening an empty
+// one if no partition of this (macroblock, reference) started in its tile
+// yet.
+func (s *scratch) window(imv h264.MV) *window {
+	tile := h264.MV{X: imv.X >> tileBits, Y: imv.Y >> tileBits}
+	for i := range s.wins[:s.open] {
+		if s.wins[i].tile == tile {
+			return &s.wins[i]
 		}
-		if e.key == key {
-			return e
-		}
-		i = (i + 1) & (cellTabSize - 1)
 	}
+	w := &s.wins[s.open]
+	s.open++
+	w.tile = tile
+	w.x0, w.y0 = int(tile.X)*tileQpel-reach, int(tile.Y)*tileQpel-reach
+	w.bands = [winSide * winSide]uint8{}
+	return w
 }
 
 // RefineRows refines macroblock rows [rowLo, rowHi). meField holds the
@@ -93,8 +101,9 @@ func RefineRows(cf *h264.Frame, sfs []*interp.SubFrame, meField, out *h264.MVFie
 	s := scratchPool.Get().(*scratch)
 	for mby := rowLo; mby < rowHi; mby++ {
 		for mbx := 0; mbx < cf.MBWidth(); mbx++ {
+			s.lanes.Load(cf.Y, mbx*h264.MBSize, mby*h264.MBSize)
 			for rf := 0; rf < meField.NumRF; rf++ {
-				refineMB(cf, sfs[rf], meField, out, mbx, mby, rf, s)
+				refineMB(sfs[rf], meField, out, mbx, mby, rf, s)
 			}
 		}
 	}
@@ -116,90 +125,108 @@ func checkRefineArgs(cf *h264.Frame, sfs []*interp.SubFrame, meField, out *h264.
 	}
 }
 
-func refineMB(cf *h264.Frame, sf *interp.SubFrame, meField, out *h264.MVField, mbx, mby, rf int, s *scratch) {
-	s.nextGen() // cell SADs are only shareable within one (MB, ref)
-	mbX0, mbY0 := mbx*h264.MBSize, mby*h264.MBSize
-	for _, mode := range h264.AllModes() {
+// shape is where one of the 41 partitions sits on the macroblock's cell grid:
+// the four-row bands [lo, hi) it covers, as a range and as a bit set, and per
+// band the lanes of a window entry's word that are its cell columns (zero for
+// a band it does not cover).
+type shape struct {
+	lo, hi int
+	bands  uint8
+	lanes  [4]uint64
+}
+
+var shapes = func() (t [h264.TotalPartitions]shape) {
+	for _, mode := range h264.AllModes {
 		w, h := mode.Size()
 		for k := 0; k < mode.Count(); k++ {
-			part := mode.Base() + k
-			imv, icost := meField.Get(mbx, mby, part, rf)
-			if icost == math.MaxInt32 || sf == nil {
-				out.Set(mbx, mby, part, rf, imv.Scale4(), math.MaxInt32)
-				continue
-			}
 			ox, oy := mode.Offset(k)
-
-			center := imv.Scale4()
-			best := center
-			bestCost := s.subSAD(cf.Y, sf, mbX0, mbY0, ox, oy, w, h, center)
-			best, bestCost = refineStepFrom(cf.Y, sf, s, mbX0, mbY0, ox, oy, w, h, best, bestCost, 2)
-			best, bestCost = refineStepFrom(cf.Y, sf, s, mbX0, mbY0, ox, oy, w, h, best, bestCost, 1)
-			out.Set(mbx, mby, part, rf, best, bestCost)
+			sh := &t[mode.Base()+k]
+			sh.lo, sh.hi = oy/4, (oy+h)/4
+			var cols uint64
+			for ci := ox / 4; ci < (ox+w)/4; ci++ {
+				cols |= 0xFFFF << (16 * ci)
+			}
+			for b := sh.lo; b < sh.hi; b++ {
+				sh.bands |= 1 << b
+				sh.lanes[b] = cols
+			}
 		}
+	}
+	return t
+}()
+
+func refineMB(sf *interp.SubFrame, meField, out *h264.MVField, mbx, mby, rf int, s *scratch) {
+	s.open = 0 // cell SADs are only shareable within one (MB, ref)
+	p := probe{sf: sf, lanes: &s.lanes, x0: mbx * h264.MBSize, y0: mby * h264.MBSize}
+	for part := range shapes {
+		imv, icost := meField.Get(mbx, mby, part, rf)
+		if icost == math.MaxInt32 || sf == nil {
+			out.Set(mbx, mby, part, rf, imv.Scale4(), math.MaxInt32)
+			continue
+		}
+		p.win, p.shape = s.window(imv), &shapes[part]
+		bx, by := int(imv.X)*4, int(imv.Y)*4 // best displacement so far
+		bestCost := p.sad(bx, by)
+		bx, by, bestCost = p.step(bx, by, bestCost, 2)
+		bx, by, bestCost = p.step(bx, by, bestCost, 1)
+		out.Set(mbx, mby, part, rf, h264.MV{X: int16(bx), Y: int16(by)}, bestCost)
 	}
 }
 
-// refineStepFrom evaluates the eight neighbours at the given quarter-pel
-// step around best, keeping the incumbent on ties (deterministic scan
-// order).
-func refineStepFrom(cur *h264.Plane, sf *interp.SubFrame, s *scratch, mbX0, mbY0, ox, oy, w, h int, best h264.MV, bestCost int32, step int16) (h264.MV, int32) {
-	center := best
-	for dy := int16(-1); dy <= 1; dy++ {
-		for dx := int16(-1); dx <= 1; dx++ {
+// probe is one partition's view of the refinement: the macroblock at
+// (x0, y0) in lane form, the window serving the partition's integer vector
+// and the partition's place on the cell grid.
+type probe struct {
+	sf     *interp.SubFrame
+	lanes  *h264.MBLanes
+	x0, y0 int
+	win    *window
+	shape  *shape
+}
+
+// step evaluates the eight neighbours at the given quarter-pel step around
+// (cx, cy), keeping the incumbent on ties (deterministic scan order).
+func (p *probe) step(cx, cy int, bestCost int32, step int) (int, int, int32) {
+	bx, by := cx, cy
+	for dy := -step; dy <= step; dy += step {
+		for dx := -step; dx <= step; dx += step {
 			if dx == 0 && dy == 0 {
 				continue
 			}
-			cand := h264.MV{X: center.X + dx*step, Y: center.Y + dy*step}
-			c := s.subSAD(cur, sf, mbX0, mbY0, ox, oy, w, h, cand)
-			if c < bestCost {
+			if c := p.sad(cx+dx, cy+dy); c < bestCost {
 				bestCost = c
-				best = cand
+				bx, by = cx+dx, cy+dy
 			}
 		}
 	}
-	return best, bestCost
+	return bx, by, bestCost
 }
 
-// subSAD returns the SAD of the partition at offset (ox, oy) size w×h of
-// the macroblock at (mbX0, mbY0) against the sub-pel reference displaced by
-// mv, as the sum of the partition's 4×4 cell SADs, memoizing cells per
-// candidate vector.
-func (s *scratch) subSAD(cur *h264.Plane, sf *interp.SubFrame, mbX0, mbY0, ox, oy, w, h int, mv h264.MV) int32 {
-	plane := sf.Planes[(int(mv.Y)&3)*4+(int(mv.X)&3)]
-	px, py := int(mv.X)>>2, int(mv.Y)>>2 // arithmetic shift floors negatives
-	e := s.lookup(mv)
-	ci0, cj0 := ox>>2, oy>>2
-	var sum int32
-	for cj := cj0; cj < cj0+(h>>2); cj++ {
-		for ci := ci0; ci < ci0+(w>>2); ci++ {
-			idx := cj*4 + ci
-			bit := uint16(1) << uint(idx)
-			if e.mask&bit == 0 {
-				e.cell[idx] = cellSAD(cur, plane, mbX0+ci*4, mbY0+cj*4, px, py)
-				e.mask |= bit
+// sad returns the SAD of the partition against the sub-pel reference
+// displaced by (mvx, mvy) quarter-pels, as the sum of its cells, first
+// filling whichever of its bands the window does not hold yet.
+func (p *probe) sad(mvx, mvy int) int32 {
+	i := (mvy-p.win.y0)*winSide + mvx - p.win.x0
+	cell, sh := &p.win.cell[i], p.shape
+	if have := p.win.bands[i]; have&sh.bands != sh.bands {
+		plane := p.sf.Planes[(mvy&3)*4+(mvx&3)]
+		// The arithmetic shift floors a negative vector's integer part.
+		ref := plane.Raw()[plane.Idx(p.x0+mvx>>2, p.y0+mvy>>2):]
+		var blk [16]uint32
+		for b := sh.lo; b < sh.hi; b++ {
+			if have>>b&1 == 0 {
+				p.lanes.BandSADs(b, b+1, ref, plane.Stride, &blk)
+				c := blk[b*4 : b*4+4 : b*4+4]
+				cell[b] = uint64(c[0]) | uint64(c[1])<<16 | uint64(c[2])<<32 | uint64(c[3])<<48
 			}
-			sum += e.cell[idx]
 		}
+		p.win.bands[i] = have | sh.bands
 	}
-	return sum
-}
-
-// cellSAD computes one 4×4 cell SAD between cur at (cx, cy) and the sub-pel
-// plane displaced by the integer part (px, py).
-func cellSAD(cur, ref *h264.Plane, cx, cy, px, py int) int32 {
-	curRaw, refRaw := cur.Raw(), ref.Raw()
-	co, ro := cur.Idx(cx, cy), ref.Idx(cx+px, cy+py)
-	cs, rs := cur.Stride, ref.Stride
-	var sum int32
-	for j := 0; j < 4; j++ {
-		c := binary.LittleEndian.Uint32(curRaw[co:])
-		r := binary.LittleEndian.Uint32(refRaw[ro:])
-		sum += h264.SAD4(c, r)
-		co += cs
-		ro += rs
-	}
-	return sum
+	// The lanes mask a band the partition does not cover, computed or not.
+	// A lane sums at most four cells here and the lanes at most sixteen:
+	// neither overflows its sixteen bits.
+	sum := cell[0]&sh.lanes[0] + cell[1]&sh.lanes[1] + cell[2]&sh.lanes[2] + cell[3]&sh.lanes[3]
+	return int32(sum * 0x0001000100010001 >> 48) // the four lanes added up
 }
 
 // SubSAD computes the SAD between the w×h current-frame block at (x, y) and

@@ -92,6 +92,7 @@ type Solver struct {
 	red   []float64
 	cost  []float64
 	x     []float64
+	nz    []int32 // non-zero columns of the current pivot row
 }
 
 // NewSolver returns an empty solver. Equivalent to new(Solver).
@@ -268,7 +269,7 @@ func (s *Solver) warmSolve(p *Problem) (xOut []float64, obj float64, err error, 
 		if r < 0 {
 			return nil, 0, nil, false
 		}
-		pivot(s.t, s.basis, r, col)
+		s.pivot(s.t, s.basis, r, col)
 	}
 	// The re-pivoted basis must be primal feasible for the new rhs.
 	for i := 0; i < m; i++ {
@@ -367,7 +368,7 @@ func (s *Solver) coldSolve(p *Problem) ([]float64, float64, error) {
 			pivoted := false
 			for j := 0; j < artCol; j++ {
 				if math.Abs(s.t[i][j]) > eps {
-					pivot(s.t, s.basis, i, j)
+					s.pivot(s.t, s.basis, i, j)
 					pivoted = true
 					break
 				}
@@ -537,27 +538,34 @@ func (s *Solver) simplex(m int, c []float64) (float64, error) {
 		} else {
 			degenRun = 0
 		}
-		pivot(t, basis, leave, enter)
+		s.pivot(t, basis, leave, enter)
 	}
 }
 
-// pivot makes column enter basic in row leave.
-func pivot(t [][]float64, basis []int, leave, enter int) {
+// pivot makes column enter basic in row leave. The normalised pivot row is
+// mostly slack-column zeros, so the other rows are updated only in the
+// columns where it is not; the column list lives on the solver, keeping a
+// pivot allocation-free for any tableau width.
+func (s *Solver) pivot(t [][]float64, basis []int, leave, enter int) {
 	row := t[leave]
 	pv := row[enter]
+	nz := s.nz[:0]
 	for j := range row {
 		row[j] /= pv
+		if row[j] != 0 {
+			nz = append(nz, int32(j))
+		}
 	}
-	for i := range t {
+	s.nz = nz
+	for i, ti := range t {
 		if i == leave {
 			continue
 		}
-		f := t[i][enter]
+		f := ti[enter]
 		if f == 0 {
 			continue
 		}
-		ti := t[i]
-		for j := range ti {
+		for _, j := range nz {
 			ti[j] -= f * row[j]
 		}
 	}

@@ -66,6 +66,10 @@ type Driver struct {
 	rs     [2]core.Result
 	held   bool // rs[1] is Step's buffered second result
 	closed bool
+
+	// src are the source frames load fills, by position in the window: the
+	// framework is done with a frame when its window returns.
+	src [2]*h264.Frame
 }
 
 // New builds a session. With a lease the framework runs on the lease's
@@ -209,16 +213,22 @@ func (d *Driver) Run(next func() ([]byte, error), emit func(core.Result)) error 
 		}
 		if len(rs) == 1 {
 			win[0] = win[1] // an unconsumed second frame leads the next window
+			d.src[0], d.src[1] = d.src[1], d.src[0]
 		}
 		win[1] = nil
 		have -= len(rs)
 	}
 }
 
-// load unpacks one I420 frame and numbers it ahead frames past the next
-// one the framework consumes (global display order, FrameBase included).
+// load unpacks one I420 frame into the window's source frame ahead and
+// numbers it ahead frames past the next one the framework consumes (global
+// display order, FrameBase included). The frame is overwritten by the next
+// load at the same position.
 func (d *Driver) load(yuv []byte, ahead int) (*h264.Frame, error) {
-	f := h264.NewFrame(d.width, d.height)
+	if d.src[ahead] == nil {
+		d.src[ahead] = h264.NewFrame(d.width, d.height)
+	}
+	f := d.src[ahead]
 	f.Poc = d.fw.FramesProcessed() + ahead
 	return f, f.LoadYUV(yuv)
 }
