@@ -64,6 +64,9 @@ func main() {
 	)
 	tf := teleflag.Register()
 	flag.Parse()
+	if *heartbeat <= 0 {
+		log.Fatalf("-heartbeat %v: the cluster clock needs a positive interval", *heartbeat)
+	}
 
 	tel, closeTelemetry, err := tf.ServiceSink()
 	if err != nil {

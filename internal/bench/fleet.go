@@ -46,22 +46,22 @@ func fleetSessionCounts(n, sessions int) []int {
 	}
 	defer f.Close()
 	counts := make([]int, n)
-	refs := make([]fleet.JobRef, 0, sessions)
+	jobs := make([]*fleet.Stream, 0, sessions)
 	for i := 0; i < sessions; i++ {
-		ref, err := f.Submit(serve.JobSpec{
+		st, err := f.Submit(serve.JobSpec{
 			Mode: serve.ModeSimulate, Width: 1920, Height: 1088,
 			Frames: 500, SearchArea: 32, RefFrames: 1,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
 		}
-		refs = append(refs, ref)
+		jobs = append(jobs, st)
 	}
-	for _, ref := range refs {
+	for _, st := range jobs {
 		var idx int
-		fmt.Sscanf(ref.Node, "node%d", &idx)
+		fmt.Sscanf(st.Status().Shards[0].Node, "node%d", &idx)
 		counts[idx]++
-		ref.Job.Cancel()
+		st.Cancel()
 	}
 	return counts
 }
@@ -285,27 +285,27 @@ func FleetShed() Table {
 		deep = append(deep, j)
 	}
 	const probes, probeFrames = 8, 30
-	refs := make([]fleet.JobRef, 0, probes)
+	jobs := make([]*fleet.Stream, 0, probes)
 	starts := make([]time.Time, 0, probes)
 	batchStart := time.Now()
 	for i := 0; i < probes; i++ {
-		ref, err := f.Submit(serve.JobSpec{
+		st, err := f.Submit(serve.JobSpec{
 			Mode: serve.ModeSimulate, Width: 1920, Height: 1088, Frames: probeFrames,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
 		}
-		refs = append(refs, ref)
+		jobs = append(jobs, st)
 		starts = append(starts, time.Now())
 	}
 	onDeep := 0
 	var worst time.Duration
-	for i, ref := range refs {
-		ref.Job.Wait()
+	for i, st := range jobs {
+		st.Wait()
 		if lat := time.Since(starts[i]); lat > worst {
 			worst = lat
 		}
-		if ref.Node == "node0" {
+		if st.Status().Shards[0].Node == "node0" {
 			onDeep++
 		}
 	}

@@ -175,14 +175,14 @@ func perfFleet(add func(name string, value float64, unit, dir string, slop float
 	var routing time.Duration
 	for i := 0; i < jobs; i++ {
 		start := time.Now()
-		ref, err := f.Submit(serve.JobSpec{
+		st, err := f.Submit(serve.JobSpec{
 			Mode: serve.ModeSimulate, Width: 640, Height: 368, Frames: 3,
 		})
 		routing += time.Since(start)
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
 		}
-		ref.Job.Wait()
+		st.Wait()
 	}
 	rs := f.State().Router
 	if rs.Routes > 0 {
@@ -296,13 +296,13 @@ func perfFleetShed(add func(name string, value float64, unit, dir string, slop f
 	}
 	const probes = 6
 	for i := 0; i < probes; i++ {
-		ref, err := f.Submit(serve.JobSpec{
+		st, err := f.Submit(serve.JobSpec{
 			Mode: serve.ModeSimulate, Width: 1920, Height: 1088, Frames: 5,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
 		}
-		ref.Job.Wait()
+		st.Wait()
 	}
 	add("fleet_shed_rate", float64(f.State().Shed)/probes, "ratio", "higher", 0.02)
 	for _, j := range deepRefs {

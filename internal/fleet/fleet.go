@@ -7,24 +7,25 @@
 // and the fleet router places whole sessions and GOP shards across nodes
 // by solving a min-max LP over each node's calibrated aggregate row rate.
 //
-// A single heavy stream can be sharded across nodes at GOP boundaries
-// (SubmitStream): each shard is an ordinary serve job carrying the global
-// frame numbering of its slice (JobSpec.FrameBase), so the reassembled
-// bitstream is byte-identical to a single-node encode of the whole input.
+// The fleet admits one kind of work: a whole-stream serve.JobSpec cut at
+// GOP boundaries into one or more shards. A plain job (Submit) is a stream
+// of one shard; SubmitStream lets a heavy stream split across nodes. Each
+// shard is an ordinary serve job carrying the global frame numbering of
+// its slice (JobSpec.FrameBase), so the reassembled bitstream is
+// byte-identical to a single-node encode of the whole input.
 //
 // Nodes die. The simulation's virtual clock (Tick) drives heartbeats; a
 // node that misses MissLimit consecutive beats is declared dead — its
 // server is closed, its capacity leaves the router, and every shard it
-// held is re-leased to a surviving node and replayed from its opening IDR.
-// Because replayed shards are byte-idempotent, the final stream is still
-// bit-exact after a mid-stream node death.
+// held, plain jobs included, is re-leased to a surviving node and replayed
+// from its opening IDR. Because replayed shards are byte-idempotent, the
+// final stream is still bit-exact after a mid-stream node death.
 package fleet
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -136,7 +137,7 @@ type Fleet struct {
 	specRel     int // straggler shards speculatively re-leased
 	specWins    int // speculative copies that beat their primary
 
-	inflight sync.WaitGroup // accepted streams not yet terminal
+	inflight sync.WaitGroup // running shard watchers (watchShard)
 }
 
 // New builds the fleet: one serve.Server per node, each observing through
@@ -393,69 +394,6 @@ func (f *Fleet) shedOnceLocked(alive []*node, caps []nodeCap, weight float64, ch
 		"node", avoided.label).Inc()
 }
 
-// placeLocked submits spec to the routed node, falling back over the other
-// alive nodes in ascending predicted-finish order when the first choice's
-// queue is full. On success the chosen node's load is charged weight.
-// exclude (optional) removes one node from consideration — the re-lease
-// path passes the node whose collection just failed, since the coordinator
-// has first-hand evidence it is unreachable even before the heartbeat
-// detector declares it. prefer (optional) lists nodes the unit's stream
-// already occupies, for the router's affinity rounding.
-func (f *Fleet) placeLocked(spec serve.JobSpec, w device.Workload, weight float64, exclude *node, prefer []*node) (*node, *serve.Job, error) {
-	alive := f.aliveLocked()
-	if exclude != nil {
-		kept := alive[:0:0]
-		for _, n := range alive {
-			if n != exclude {
-				kept = append(kept, n)
-			}
-		}
-		alive = kept
-	}
-	if len(alive) == 0 {
-		return nil, nil, ErrNoNodes
-	}
-	var preferIdx []int
-	for i, n := range alive {
-		for _, p := range prefer {
-			if p == n {
-				preferIdx = append(preferIdx, i)
-				break
-			}
-		}
-	}
-	caps := f.capsLocked(alive, w)
-	first := f.rt.route([]routeUnit{{weight: weight, prefer: preferIdx}}, caps)[0]
-	order := []int{first}
-	rest := make([]int, 0, len(alive)-1)
-	for i := range alive {
-		if i != first {
-			rest = append(rest, i)
-		}
-	}
-	sort.SliceStable(rest, func(a, b int) bool {
-		return finishTime(caps[rest[a]], weight) < finishTime(caps[rest[b]], weight)
-	})
-	order = append(order, rest...)
-	var lastErr error = serve.ErrBusy
-	for _, i := range order {
-		n := alive[i]
-		job, err := n.srv.Submit(spec)
-		if err == nil {
-			n.load += weight
-			n.jobs++
-			f.metric("feves_fleet_routes_total", "Placements decided by the fleet router.", "node", n.label).Inc()
-			f.shedOnceLocked(alive, caps, weight, n)
-			return n, job, nil
-		}
-		if !errors.Is(err, serve.ErrBusy) && !errors.Is(err, serve.ErrDraining) {
-			return nil, nil, err // spec error: no node will take it
-		}
-		lastErr = err
-	}
-	return nil, nil, lastErr
-}
-
 func finishTime(c nodeCap, weight float64) float64 {
 	if c.rate <= 0 {
 		return 1e300
@@ -463,51 +401,15 @@ func finishTime(c nodeCap, weight float64) float64 {
 	return (c.load + weight) / c.rate
 }
 
-// JobRef names a routed job: the node serving it plus the node-local job.
-// The fleet-wide id is Node + "/" + Job.ID().
+// JobRef names a node-local job — a shard's placement or work submitted
+// to a node's server directly — by its node label and the job itself.
 type JobRef struct {
 	Node string
 	Job  *serve.Job
 }
 
-// ID returns the fleet-wide job identifier.
-func (r JobRef) ID() string { return r.Node + "/" + r.Job.ID() }
-
-// Submit routes one ordinary (unsharded) job to a node via the router LP
-// and admits it there. Admission errors mirror serve's: ErrDraining after
-// shutdown began, serve.ErrBusy when every alive node's queue is full,
-// ErrNoNodes when none are alive, or a validation error.
-func (f *Fleet) Submit(spec serve.JobSpec) (JobRef, error) {
-	if err := spec.Validate(); err != nil {
-		return JobRef{}, err
-	}
-	f.mu.Lock()
-	if f.draining || f.closed {
-		f.mu.Unlock()
-		return JobRef{}, serve.ErrDraining
-	}
-	w := spec.Workload()
-	weight := unitWeight(w, spec.FrameCount())
-	n, job, err := f.placeLocked(spec, w, weight, nil, nil)
-	f.mu.Unlock()
-	if err != nil {
-		return JobRef{}, err
-	}
-	f.metric("feves_fleet_jobs_total", "Jobs accepted by the fleet coordinator.").Inc()
-	go func() { // release the routed load once the job is terminal
-		job.Wait()
-		f.mu.Lock()
-		n.load -= weight
-		if n.load < 0 {
-			n.load = 0
-		}
-		f.mu.Unlock()
-	}()
-	return JobRef{Node: n.label, Job: job}, nil
-}
-
-// Jobs lists every fleet-routed and node-local job as JobRefs, nodes in
-// join order, jobs in node submission order.
+// Jobs lists every node's jobs as JobRefs, nodes in join order, jobs in
+// node submission order: the node-local view behind GET /jobs.
 func (f *Fleet) Jobs() []JobRef {
 	f.mu.Lock()
 	nodes := append([]*node(nil), f.nodes...)
@@ -555,40 +457,23 @@ func (f *Fleet) Draining() bool {
 	return f.draining || f.closed
 }
 
-// Drain stops admission fleet-wide and waits for every accepted stream and
-// every node's accepted jobs to reach a terminal state; ctx expiry cancels
-// the stragglers and waits for them to wind down.
+// Drain stops admission fleet-wide and waits for every node's accepted
+// jobs and every accepted stream to reach a terminal state; ctx expiry
+// cancels the stragglers and waits for them to wind down. Once every node
+// drains, no re-lease can be admitted, so the last watchers end promptly.
 func (f *Fleet) Drain(ctx context.Context) error {
 	f.mu.Lock()
 	f.draining = true
 	nodes := append([]*node(nil), f.nodes...)
 	f.mu.Unlock()
-	var wg sync.WaitGroup
-	errs := make([]error, len(nodes))
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			errs[i] = n.srv.Drain(ctx)
-		}(i, n)
-	}
-	wg.Wait()
-	streamsDone := make(chan struct{})
-	go func() {
-		f.inflight.Wait()
-		close(streamsDone)
-	}()
-	select {
-	case <-streamsDone:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var first error
+	for _, n := range nodes {
+		if err := n.srv.Drain(ctx); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	f.inflight.Wait()
+	return first
 }
 
 // Close shuts every node down immediately; running sessions cancel at the

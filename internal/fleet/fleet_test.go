@@ -53,14 +53,14 @@ func soloEncode(t *testing.T, spec StreamSpec) []byte {
 	}
 	fw, err := core.New(core.Options{
 		Platform: pl,
-		Codec:    spec.jobSpec(ShardRange{Start: 0, Frames: spec.frameCount()}, 0).CodecConfig(),
+		Codec:    spec.whole().CodecConfig(),
 		Mode:     vcm.Functional,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fb := spec.Width * spec.Height * 3 / 2
-	for i := 0; i < spec.frameCount(); i++ {
+	for i := 0; i < spec.whole().FrameCount(); i++ {
 		cf := h264.NewFrame(spec.Width, spec.Height)
 		cf.Poc = i
 		if err := cf.LoadYUV(spec.YUV[i*fb : (i+1)*fb]); err != nil {
@@ -239,64 +239,89 @@ func TestNodeDeathMidStreamReplaysAndStaysBitExact(t *testing.T) {
 	}
 }
 
-// TestSubmitRoutesJobsAcrossNodes routes a burst of plain jobs and expects
-// the LP to spread them over several nodes.
+// oneShard is the two ways one unsharded piece of work enters the fleet —
+// a plain job and a MaxShards 1 stream of the same spec — which must
+// behave alike.
+var oneShard = []struct {
+	name   string
+	submit func(f *Fleet, js serve.JobSpec) (*Stream, error)
+}{
+	{"job", (*Fleet).Submit},
+	{"stream", func(f *Fleet, js serve.JobSpec) (*Stream, error) {
+		return f.SubmitStream(StreamSpec{Name: js.Name, Mode: js.Mode, Width: js.Width, Height: js.Height,
+			Frames: js.Frames, IntraPeriod: js.IntraPeriod, YUV: js.YUV, MaxShards: 1})
+	}},
+}
+
+// node returns the node the stream's one shard runs on.
+func (st *Stream) node() string { return st.Status().Shards[0].Node }
+
+// TestSubmitRoutesJobsAcrossNodes routes a burst of one-shard work and
+// expects the LP to spread it over several nodes.
 func TestSubmitRoutesJobsAcrossNodes(t *testing.T) {
-	f, err := New(Config{Nodes: testNodes(t, 3, "sysnfk")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	used := map[string]bool{}
-	refs := make([]JobRef, 0, 6)
-	for i := 0; i < 6; i++ {
-		ref, err := f.Submit(serve.JobSpec{Mode: serve.ModeSimulate, Width: 1920, Height: 1088, Frames: 30})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		used[ref.Node] = true
-		refs = append(refs, ref)
-	}
-	if len(used) < 2 {
-		t.Fatalf("6 jobs all routed to one node: %v", used)
-	}
-	for i, ref := range refs {
-		if st := ref.Job.Wait(); st != serve.StatusDone {
-			t.Fatalf("job %d finished %q", i, st)
-		}
-	}
-	state := f.State()
-	if state.Router.Routes == 0 || state.Router.Solver.Solves == 0 {
-		t.Fatalf("router stats empty: %+v", state.Router)
+	for _, in := range oneShard {
+		t.Run(in.name, func(t *testing.T) {
+			f, err := New(Config{Nodes: testNodes(t, 3, "sysnfk")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			used := map[string]bool{}
+			jobs := make([]*Stream, 0, 6)
+			for i := 0; i < 6; i++ {
+				st, err := in.submit(f, serve.JobSpec{Mode: serve.ModeSimulate, Width: 1920, Height: 1088, Frames: 30})
+				if err != nil {
+					t.Fatalf("submit %d: %v", i, err)
+				}
+				used[st.node()] = true
+				jobs = append(jobs, st)
+			}
+			if len(used) < 2 {
+				t.Fatalf("6 jobs all routed to one node: %v", used)
+			}
+			for i, st := range jobs {
+				if got := st.Wait(); got != serve.StatusDone {
+					t.Fatalf("job %d finished %q", i, got)
+				}
+			}
+			state := f.State()
+			if state.Router.Routes == 0 || state.Router.Solver.Solves == 0 {
+				t.Fatalf("router stats empty: %+v", state.Router)
+			}
+		})
 	}
 }
 
 // TestRouterSkipsDeadNodeCapacity declares a node dead and expects all
 // subsequent placements to avoid it.
 func TestRouterSkipsDeadNodeCapacity(t *testing.T) {
-	f, err := New(Config{Nodes: testNodes(t, 2, "sysnfk"), MissLimit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if !f.Kill("node0") {
-		t.Fatal("kill node0 failed")
-	}
-	died := f.Tick()
-	if len(died) != 1 || died[0] != "node0" {
-		t.Fatalf("tick declared %v, want [node0]", died)
-	}
-	for i := 0; i < 4; i++ {
-		ref, err := f.Submit(serve.JobSpec{Mode: serve.ModeSimulate, Width: 640, Height: 368, Frames: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Node != "node1" {
-			t.Fatalf("job %d routed to %s, want node1 (node0 is dead)", i, ref.Node)
-		}
-		if st := ref.Job.Wait(); st != serve.StatusDone {
-			t.Fatalf("job %d finished %q", i, st)
-		}
+	for _, in := range oneShard {
+		t.Run(in.name, func(t *testing.T) {
+			f, err := New(Config{Nodes: testNodes(t, 2, "sysnfk"), MissLimit: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if !f.Kill("node0") {
+				t.Fatal("kill node0 failed")
+			}
+			died := f.Tick()
+			if len(died) != 1 || died[0] != "node0" {
+				t.Fatalf("tick declared %v, want [node0]", died)
+			}
+			for i := 0; i < 4; i++ {
+				st, err := in.submit(f, serve.JobSpec{Mode: serve.ModeSimulate, Width: 640, Height: 368, Frames: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.node() != "node1" {
+					t.Fatalf("job %d routed to %s, want node1 (node0 is dead)", i, st.node())
+				}
+				if got := st.Wait(); got != serve.StatusDone {
+					t.Fatalf("job %d finished %q", i, got)
+				}
+			}
+		})
 	}
 }
 
@@ -436,8 +461,8 @@ func TestSpecDefaultsNormalisedOnce(t *testing.T) {
 	}
 	want := serve.JobSpec{Mode: serve.ModeEncode, Width: w, Height: h, IntraPeriod: gop,
 		SearchArea: 32, RefFrames: 1, IQP: 27, PQP: 28}
-	if st.cfg != want.CodecConfig() {
-		t.Fatalf("fleet reassembles by %+v, want the defaulted %+v", st.cfg, want.CodecConfig())
+	if got := st.spec.CodecConfig(); got != want.CodecConfig() {
+		t.Fatalf("fleet reassembles by %+v, want the defaulted %+v", got, want.CodecConfig())
 	}
 	if len(st.shards) != frames/gop {
 		t.Fatalf("stream split into %d shards, want %d", len(st.shards), frames/gop)

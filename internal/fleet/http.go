@@ -10,10 +10,10 @@ import (
 // Handler returns the coordinator's HTTP API — the cluster-wide analogue
 // of serve.Handler:
 //
-//	POST   /jobs                      route a serve.JobSpec to a node, 202 + status
-//	GET    /jobs                      list every job on every node
-//	GET    /jobs/{node}/{id}          one job's status
-//	DELETE /jobs/{node}/{id}          cancel a job
+//	POST   /jobs                      admit a serve.JobSpec as a one-shard stream, 202 + stream status
+//	GET    /jobs                      list every job on every node (shard jobs included)
+//	GET    /jobs/{node}/{id}          one node-local job's status
+//	DELETE /jobs/{node}/{id}          cancel a node-local job (and the stream it serves)
 //	GET    /jobs/{node}/{id}/results  stream per-frame results as JSONL
 //	GET    /jobs/{node}/{id}/bitstream coded stream of a finished encode job
 //	POST   /streams                   submit a StreamSpec (GOP-sharded), 202 + status
@@ -68,12 +68,12 @@ func (f *Fleet) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if !serve.DecodeSpec(w, r, &spec) {
 		return
 	}
-	ref, err := f.Submit(spec)
+	st, err := f.Submit(spec)
 	if err != nil {
 		f.writeAdmissionError(w, err)
 		return
 	}
-	serve.WriteJSON(w, http.StatusAccepted, fleetJobStatus{Node: ref.Node, JobStatus: ref.Job.Status()})
+	serve.WriteJSON(w, http.StatusAccepted, st.Status())
 }
 
 func (f *Fleet) handleListJobs(w http.ResponseWriter, r *http.Request) {

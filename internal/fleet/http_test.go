@@ -103,16 +103,16 @@ func TestHTTPJobRoutingAndResults(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("POST /jobs = %d: %s", resp.StatusCode, b)
 	}
-	var doc fleetJobStatus
+	var doc StreamStatus
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if doc.Node == "" || doc.ID == "" {
-		t.Fatalf("job status %+v", doc)
+	if !strings.HasPrefix(doc.ID, "stream-") || len(doc.Shards) != 1 || doc.Shards[0].Node == "" || doc.Shards[0].Job == "" {
+		t.Fatalf("POST /jobs answered %+v, want a one-shard stream document naming its node job", doc)
 	}
 
-	resp, err := http.Get(ts.URL + "/jobs/" + doc.Node + "/" + doc.ID + "/results")
+	resp, err := http.Get(ts.URL + "/jobs/" + doc.Shards[0].Node + "/" + doc.Shards[0].Job + "/results")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,12 +74,12 @@ func TestChurnNodesDieAndJoinWhileStreaming(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ref, err := f.Submit(serve.JobSpec{Mode: serve.ModeSimulate, Width: 640, Height: 368, Frames: 5})
+			st, err := f.Submit(serve.JobSpec{Mode: serve.ModeSimulate, Width: 640, Height: 368, Frames: 5})
 			if err != nil {
 				t.Errorf("job %d: %v", i, err)
 				return
 			}
-			ref.Job.Wait()
+			st.Wait()
 		}(i)
 	}
 	// A node joins while everything above is running.
@@ -209,12 +209,12 @@ func TestChurnSheddingSpeculationBitExact(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ref, err := f.Submit(serve.JobSpec{Mode: serve.ModeSimulate, Width: 640, Height: 368, Frames: 5})
+			st, err := f.Submit(serve.JobSpec{Mode: serve.ModeSimulate, Width: 640, Height: 368, Frames: 5})
 			if err != nil {
 				t.Errorf("job %d: %v", i, err)
 				return
 			}
-			ref.Job.Wait()
+			st.Wait()
 		}(i)
 	}
 	wg.Wait()

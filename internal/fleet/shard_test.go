@@ -2,9 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"feves/internal/h264/codec"
+	"feves/internal/serve"
 )
 
 func TestShardRangesCoverAndAlign(t *testing.T) {
@@ -78,5 +82,71 @@ func TestAssembleShardsStripsHeadersOnce(t *testing.T) {
 	}
 	if _, err := assembleShards(cfg, nil); err == nil {
 		t.Fatal("empty shard list accepted")
+	}
+}
+
+// FuzzShardPlan decodes arbitrary bytes as a StreamSpec and as a JobSpec.
+// For every spec whose whole form validates, the plan at 0–4 shards must
+// tile the frames contiguously, validate shard by shard, number each shard
+// from whole.FrameBase+Start on a GOP boundary, and slice the input so the
+// pieces concatenate back to it — and nothing may panic.
+func FuzzShardPlan(f *testing.F) {
+	// fleet_streams' shape — an encode of two GOPs — at the smallest frame
+	// size: a large seed leaves the engine minimizing instead of fuzzing.
+	clip := base64.StdEncoding.EncodeToString(testYUV(16, 16, 4))
+	for _, seed := range []string{
+		`{"mode":"encode","width":16,"height":16,"search_area":32,"ref_frames":1,"intra_period":2,"yuv":"` + clip + `"}`,
+		`{"mode":"simulate","width":1920,"height":1088,"frames":20,"intra_period":5,"max_shards":3}`,
+		`{"mode":"simulate","width":64,"height":64,"frames":12,"intra_period":4,"frame_base":8}`,
+		`{"mode":"simulate","width":64,"height":64,"frames":16,"intra_period":8,"frame_base":9223372036854775800}`,
+		`{"mode":"encode","width":4294967296,"height":4294967296,"intra_period":4,"yuv":"AQ=="}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sp StreamSpec
+		if json.Unmarshal(data, &sp) == nil {
+			checkShardPlan(t, sp.whole())
+		}
+		var js serve.JobSpec
+		if json.Unmarshal(data, &js) == nil {
+			checkShardPlan(t, js)
+		}
+	})
+}
+
+func checkShardPlan(t *testing.T, whole serve.JobSpec) {
+	if whole.Validate() != nil {
+		return
+	}
+	for maxShards := 0; maxShards <= 4; maxShards++ {
+		where := fmt.Sprintf("%d frames, intra period %d, frame base %d, max shards %d",
+			whole.FrameCount(), whole.IntraPeriod, whole.FrameBase, maxShards)
+		shards := shardsOf(whole, maxShards)
+		next := 0
+		var yuv []byte
+		for i, sh := range shards {
+			if sh.idx != i || sh.rng.Start != next || sh.rng.Frames < 1 {
+				t.Fatalf("%s: shard %d covers %+v after frame %d", where, i, sh.rng, next)
+			}
+			if err := sh.spec.Validate(); err != nil {
+				t.Fatalf("%s: shard %d does not validate: %v", where, i, err)
+			}
+			if sh.spec.FrameBase != whole.FrameBase+sh.rng.Start || sh.spec.FrameCount() != sh.rng.Frames {
+				t.Fatalf("%s: shard %d runs %d frames from %d, want %d from %d", where, i,
+					sh.spec.FrameCount(), sh.spec.FrameBase, sh.rng.Frames, whole.FrameBase+sh.rng.Start)
+			}
+			if len(shards) > 1 && sh.rng.Start%whole.IntraPeriod != 0 {
+				t.Fatalf("%s: shard %d opens at %d, off the GOP grid", where, i, sh.rng.Start)
+			}
+			yuv = append(yuv, sh.spec.YUV...)
+			next += sh.rng.Frames
+		}
+		if next != whole.FrameCount() {
+			t.Fatalf("%s: shards cover %d frames", where, next)
+		}
+		if !bytes.Equal(yuv, whole.YUV) {
+			t.Fatalf("%s: shard inputs concatenate to %d bytes, not the whole's %d", where, len(yuv), len(whole.YUV))
+		}
 	}
 }

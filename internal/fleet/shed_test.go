@@ -51,12 +51,12 @@ func TestDeepQueueNodeShedsNewWork(t *testing.T) {
 	}
 	probe := serve.JobSpec{Mode: serve.ModeSimulate, Width: 1920, Height: 1088, Frames: 5}
 	for i := 0; i < 4; i++ {
-		ref, err := f.Submit(probe)
+		st, err := f.Submit(probe)
 		if err != nil {
 			t.Fatalf("probe %d: %v", i, err)
 		}
-		if ref.Node != "node1" {
-			t.Fatalf("probe %d routed to %s despite node0's deep queue", i, ref.Node)
+		if st.node() != "node1" {
+			t.Fatalf("probe %d routed to %s despite node0's deep queue", i, st.node())
 		}
 	}
 	if deaths := f.Tick(); len(deaths) != 0 {

@@ -1,11 +1,11 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
-	"feves/internal/h264/codec"
 	"feves/internal/serve"
 )
 
@@ -36,37 +36,39 @@ type StreamSpec struct {
 	YUV []byte `json:"yuv,omitempty"`
 }
 
-// jobSpec derives the serve job of one shard: the frames [r.Start,
-// r.Start+r.Frames) of the stream under the stream's coding parameters,
-// numbered globally via FrameBase so the shard encodes byte-identically to
-// the same frames of a whole-stream session.
-func (sp StreamSpec) jobSpec(r ShardRange, shardIdx int) serve.JobSpec {
-	js := serve.JobSpec{
-		Name:              fmt.Sprintf("%s/shard%d", sp.Name, shardIdx),
-		Mode:              sp.Mode,
-		Width:             sp.Width,
-		Height:            sp.Height,
-		SearchArea:        sp.SearchArea,
-		RefFrames:         sp.RefFrames,
-		IQP:               sp.IQP,
-		PQP:               sp.PQP,
-		IntraPeriod:       sp.IntraPeriod,
-		SceneCutThreshold: sp.SceneCutThreshold,
-		FrameBase:         r.Start,
-		FrameParallel:     sp.FrameParallel,
+// whole is the stream as one serve job: the spec a single node would run
+// for the entire input. It is the stream's only normalisation; shards are
+// cut from it (shardsOf) exactly as plain jobs are.
+func (sp StreamSpec) whole() serve.JobSpec {
+	return serve.JobSpec{
+		Name: sp.Name, Mode: sp.Mode, Width: sp.Width, Height: sp.Height, Frames: sp.Frames,
+		SearchArea: sp.SearchArea, RefFrames: sp.RefFrames, IQP: sp.IQP, PQP: sp.PQP,
+		IntraPeriod: sp.IntraPeriod, SceneCutThreshold: sp.SceneCutThreshold,
+		FrameParallel: sp.FrameParallel, YUV: sp.YUV,
 	}
-	if sp.Mode == serve.ModeEncode {
-		fb := sp.Width * sp.Height * 3 / 2
-		js.YUV = sp.YUV[r.Start*fb : (r.Start+r.Frames)*fb]
-	} else {
-		js.Frames = r.Frames
-	}
-	return js
 }
 
-func (sp StreamSpec) frameCount() int {
-	return serve.JobSpec{Mode: sp.Mode, Width: sp.Width, Height: sp.Height,
-		Frames: sp.Frames, YUV: sp.YUV}.FrameCount()
+// shardsOf cuts a validated whole-stream job into at most maxShards GOP
+// runs. Each shard is the whole spec over frames [Start, Start+Frames),
+// numbered globally from whole.FrameBase+Start, so it encodes
+// byte-identically to the same frames of the whole job.
+func shardsOf(whole serve.JobSpec, maxShards int) []*shard {
+	w := whole.Workload()
+	fb := whole.Width * whole.Height * 3 / 2
+	ranges := shardRanges(whole.FrameCount(), whole.IntraPeriod, maxShards)
+	out := make([]*shard, len(ranges))
+	for i, r := range ranges {
+		js := whole
+		js.Name = fmt.Sprintf("%s/shard%d", whole.Name, i)
+		js.FrameBase = whole.FrameBase + r.Start
+		if whole.Mode == serve.ModeEncode {
+			js.YUV = whole.YUV[r.Start*fb : (r.Start+r.Frames)*fb]
+		} else {
+			js.Frames = r.Frames
+		}
+		out[i] = &shard{idx: i, rng: r, spec: js, weight: unitWeight(w, r.Frames)}
+	}
+	return out
 }
 
 // shard is one GOP run of a stream and its placement history.
@@ -90,12 +92,11 @@ type shard struct {
 	specJob  *serve.Job
 }
 
-// Stream is one submitted (possibly sharded) stream.
+// Stream is one submitted job — a plain job is a stream of one shard.
 type Stream struct {
 	f    *Fleet
 	id   string
-	spec StreamSpec
-	cfg  codec.Config // shard 0's codec config, for reassembly
+	spec serve.JobSpec // the whole-stream job the shards are cut from
 
 	// Guarded by Fleet.mu until done closes; immutable after.
 	shards    []*shard
@@ -140,14 +141,24 @@ type StreamStatus struct {
 	Finished  *time.Time    `json:"finished,omitempty"`
 }
 
-// SubmitStream validates the stream as one whole-stream job, splits it at
-// GOP boundaries into at most MaxShards runs (default: one per alive
-// node), routes all shards in one LP solve, and admits each shard on its
-// node. Shards carry global frame numbering, so the reassembled bitstream
-// is byte-identical to a single-node encode.
+// Submit admits one plain job as a stream of one shard: routed by the
+// third-level LP like any shard, re-leased to a survivor if its node dies.
+// Admission errors mirror serve's: ErrDraining after shutdown began,
+// serve.ErrBusy when every alive node's queue is full, ErrNoNodes when none
+// are alive, or a validation error.
+func (f *Fleet) Submit(spec serve.JobSpec) (*Stream, error) { return f.submit(spec, 1) }
+
+// SubmitStream splits the stream at GOP boundaries into at most MaxShards
+// runs (default: one per alive node) and admits it like Submit. Shards
+// carry global frame numbering, so the reassembled bitstream is
+// byte-identical to a single-node encode.
 func (f *Fleet) SubmitStream(spec StreamSpec) (*Stream, error) {
-	whole := spec.jobSpec(ShardRange{Start: 0, Frames: spec.frameCount()}, 0)
-	whole.Name = spec.Name
+	return f.submit(spec.whole(), spec.MaxShards)
+}
+
+// submit validates the whole-stream job, cuts it into shards and admits
+// them in one routing decision. maxShards <= 0 means one per alive node.
+func (f *Fleet) submit(whole serve.JobSpec, maxShards int) (*Stream, error) {
 	if err := whole.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,90 +167,116 @@ func (f *Fleet) SubmitStream(spec StreamSpec) (*Stream, error) {
 	if f.draining || f.closed {
 		return nil, serve.ErrDraining
 	}
-	alive := f.aliveLocked()
-	if len(alive) == 0 {
-		return nil, ErrNoNodes
-	}
-	maxShards := spec.MaxShards
 	if maxShards <= 0 {
-		maxShards = len(alive)
+		maxShards = len(f.aliveLocked())
 	}
-	ranges := shardRanges(spec.frameCount(), spec.IntraPeriod, maxShards)
-	f.seq++
 	st := &Stream{
 		f:         f,
-		id:        fmt.Sprintf("stream-%d", f.seq),
-		spec:      spec,
+		spec:      whole,
+		shards:    shardsOf(whole, maxShards),
 		status:    serve.StatusRunning,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	w := whole.Workload()
-	for i, r := range ranges {
-		js := spec.jobSpec(r, i)
-		if i == 0 {
-			st.cfg = js.CodecConfig()
-		}
-		st.shards = append(st.shards, &shard{
-			idx: i, rng: r, spec: js, weight: unitWeight(w, r.Frames),
-		})
-	}
-	// One LP solve places every shard; per-shard admission falls back over
-	// the other alive nodes if the routed node's queue is full.
-	units := make([]routeUnit, len(st.shards))
-	for i, sh := range st.shards {
-		units[i] = routeUnit{weight: sh.weight}
-	}
-	caps := f.capsLocked(alive, w)
-	// route returns retained scratch; copy it, since a fallback placement
-	// below routes again and would clobber the batch assignment.
-	assign := append([]int(nil), f.rt.route(units, caps)...)
-	for i, sh := range st.shards {
-		n := alive[assign[i]]
-		job, err := n.srv.Submit(sh.spec)
-		if err != nil {
-			var fallbackErr error
-			n, job, fallbackErr = f.placeLocked(sh.spec, w, sh.weight, nil, streamNodesLocked(st, sh))
-			if fallbackErr != nil {
-				for _, prev := range st.shards[:i] {
-					prev.job.Cancel()
-					prev.node.load -= prev.weight
-				}
-				return nil, fallbackErr
+	if err := f.admitLocked(st, st.shards, nil, false); err != nil {
+		st.status = serve.StatusFailed // never registered: its watchers only release load
+		for _, sh := range st.shards {
+			if sh.job != nil {
+				sh.job.Cancel()
 			}
-		} else {
-			f.shedOnceLocked(alive, caps, sh.weight, n)
-			n.load += sh.weight
-			n.jobs++
-			f.metric("feves_fleet_routes_total", "Placements decided by the fleet router.", "node", n.label).Inc()
 		}
-		sh.node, sh.job = n, job
-		sh.attempts = 1
-		f.metric("feves_fleet_shards_total", "GOP shards placed on fleet nodes.").Inc()
+		return nil, err
 	}
+	f.seq++
+	st.id = fmt.Sprintf("stream-%d", f.seq)
 	f.streams[st.id] = st
 	f.streamOrder = append(f.streamOrder, st.id)
-	f.inflight.Add(1)
 	f.metric("feves_fleet_streams_total", "Streams accepted by the fleet coordinator.").Inc()
-	for _, sh := range st.shards {
-		go f.watchShard(st, sh, sh.node, sh.job)
-	}
+	f.metric("feves_fleet_shards_total", "GOP shards placed on fleet nodes.").Add(float64(len(st.shards)))
 	return st, nil
 }
 
-// streamNodesLocked lists the alive nodes currently hosting other shards
-// of st — the affinity preference a fallback, re-lease or speculative
-// placement hands the router so replacements keep the stream's reassembly
-// fan-in bounded.
-func streamNodesLocked(st *Stream, except *shard) []*node {
-	var out []*node
-	for _, sh := range st.shards {
-		if sh == except || sh.node == nil || sh.node.dead {
-			continue
+// admitLocked is the fleet's one admission routine. It routes units — shards
+// of st — in one LP solve over the alive nodes other than exclude, with the
+// nodes st's other shards occupy as the affinity preference, and admits
+// each unit on its routed node, falling back over the others in
+// predicted-finish order when a queue is full. Each admission charges the
+// node the unit's weight and starts the watcher that releases it. A re-lease
+// or speculative copy excludes the unit's current node: a failed collection
+// is first-hand evidence it is unreachable before the heartbeat detector
+// declares it. A speculative admission races the unit's primary placement
+// instead of replacing it. On error, units admitted before the failing one
+// keep their placements; the caller cancels them.
+func (f *Fleet) admitLocked(st *Stream, units []*shard, exclude *node, speculative bool) error {
+	alive := f.aliveLocked()
+	if exclude != nil {
+		kept := alive[:0]
+		for _, n := range alive {
+			if n != exclude {
+				kept = append(kept, n)
+			}
 		}
-		out = append(out, sh.node)
+		alive = kept
 	}
-	return out
+	if len(alive) == 0 {
+		return ErrNoNodes
+	}
+	var prefer []int
+	for i, n := range alive {
+		for _, sh := range st.shards {
+			if sh.node == n {
+				prefer = append(prefer, i)
+				break
+			}
+		}
+	}
+	caps := f.capsLocked(alive, st.spec.Workload())
+	batch := make([]routeUnit, len(units))
+	for i, sh := range units {
+		batch[i] = routeUnit{weight: sh.weight, prefer: prefer}
+	}
+	assign := f.rt.route(batch, caps)
+	order := make([]int, 0, len(alive))
+	for u, sh := range units {
+		order = append(order[:0], assign[u])
+		for i := range alive {
+			if i != assign[u] {
+				order = append(order, i)
+			}
+		}
+		rest := order[1:]
+		sort.SliceStable(rest, func(a, b int) bool {
+			return finishTime(caps[rest[a]], sh.weight) < finishTime(caps[rest[b]], sh.weight)
+		})
+		var n *node
+		var job *serve.Job
+		var err error
+		for _, i := range order {
+			if job, err = alive[i].srv.Submit(sh.spec); err == nil {
+				n = alive[i]
+				break
+			}
+			if !errors.Is(err, serve.ErrBusy) && !errors.Is(err, serve.ErrDraining) {
+				return err // spec error: no node will take it
+			}
+		}
+		if n == nil {
+			return err
+		}
+		f.shedOnceLocked(alive, caps, sh.weight, n)
+		n.load += sh.weight
+		n.jobs++
+		f.metric("feves_fleet_routes_total", "Placements decided by the fleet router.", "node", n.label).Inc()
+		if speculative {
+			sh.specNode, sh.specJob = n, job
+		} else {
+			sh.node, sh.job = n, job
+		}
+		sh.attempts++
+		f.inflight.Add(1)
+		go f.watchShard(st, sh, n, job)
+	}
+	return nil
 }
 
 // watchShard waits for one shard placement to become terminal, collects
@@ -250,8 +287,12 @@ func streamNodesLocked(st *Stream, except *shard) []*node {
 // When a speculative copy is racing the primary, one watcher runs per
 // copy: the first to collect wins the shard and cancels its sibling; a
 // copy that fails while its sibling still runs just promotes the sibling
-// to sole placement.
+// to sole placement. A copy canceled on a node the coordinator still
+// trusts was canceled by its caller (DELETE /jobs/{node}/{id}), so the
+// stream ends canceled instead of respawning it. The watcher is the one
+// place a placement's load is released.
 func (f *Fleet) watchShard(st *Stream, sh *shard, n *node, job *serve.Job) {
+	defer f.inflight.Done()
 	status := job.Wait()
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -265,6 +306,12 @@ func (f *Fleet) watchShard(st *Stream, sh *shard, n *node, job *serve.Job) {
 	if sh.job != job && sh.specJob != job {
 		return // superseded by a later re-lease
 	}
+	trusted := !n.killed && !n.dead
+	if status == serve.StatusCanceled && trusted {
+		f.finishStreamLocked(st, serve.StatusCanceled, fmt.Sprintf("shard %d [%d,%d) on %s: job %s canceled",
+			sh.idx, sh.rng.Start, sh.rng.Start+sh.rng.Frames, n.label, job.ID()))
+		return
+	}
 	// The sibling copy, when speculation left two placements racing.
 	sibling, siblingNode := sh.specJob, sh.specNode
 	if job == sh.specJob {
@@ -273,7 +320,7 @@ func (f *Fleet) watchShard(st *Stream, sh *shard, n *node, job *serve.Job) {
 	// Collection models fetching the result off the node: it fails when
 	// the machine has vanished (killed) even if the coordinator has not
 	// yet declared it dead — exactly like a network fetch would.
-	if status == serve.StatusDone && !n.killed && !n.dead {
+	if status == serve.StatusDone && trusted {
 		if job == sh.specJob {
 			f.specWins++
 			f.metric("feves_fleet_speculative_wins_total",
@@ -304,7 +351,7 @@ func (f *Fleet) watchShard(st *Stream, sh *shard, n *node, job *serve.Job) {
 	sh.specNode, sh.specJob = nil, nil
 	why := fmt.Sprintf("shard %d [%d,%d) on %s: job %s %s", sh.idx, sh.rng.Start,
 		sh.rng.Start+sh.rng.Frames, n.label, job.ID(), status)
-	if n.killed || n.dead {
+	if !trusted {
 		why = fmt.Sprintf("shard %d [%d,%d): node %s unreachable (job %s)", sh.idx,
 			sh.rng.Start, sh.rng.Start+sh.rng.Frames, n.label, job.ID())
 	}
@@ -321,20 +368,15 @@ func (f *Fleet) rerouteShardLocked(st *Stream, sh *shard, why string) {
 			fmt.Sprintf("shard %d exhausted %d re-leases: %s", sh.idx, f.cfg.MaxShardRetries, why))
 		return
 	}
-	w := sh.spec.Workload()
-	n2, job2, err := f.placeLocked(sh.spec, w, sh.weight, sh.node, streamNodesLocked(st, sh))
-	if err != nil {
+	if err := f.admitLocked(st, []*shard{sh}, sh.node, false); err != nil {
 		f.finishStreamLocked(st, serve.StatusFailed,
 			fmt.Sprintf("shard %d re-lease failed: %v (%s)", sh.idx, err, why))
 		return
 	}
-	sh.node, sh.job = n2, job2
-	sh.attempts++
-	n2.tel.Incident("re_lease", sh.rng.Start, -1,
+	sh.node.tel.Incident("re_lease", sh.rng.Start, -1,
 		fmt.Sprintf("%s %s re-leased to %s as %s, replaying from IDR %d: %s",
-			st.id, st.spec.Name, n2.label, job2.ID(), sh.rng.Start, why))
+			st.id, st.spec.Name, sh.node.label, sh.job.ID(), sh.rng.Start, why))
 	f.metric("feves_fleet_releases_total", "Shards re-leased to a surviving node.").Inc()
-	go f.watchShard(st, sh, n2, job2)
 }
 
 // progressLocked is the shard's completion fraction across its copies.
@@ -386,20 +428,15 @@ func (f *Fleet) speculateLocked() {
 			if lag <= f.cfg.SpecSlack {
 				continue
 			}
-			w := sh.spec.Workload()
-			n2, job2, err := f.placeLocked(sh.spec, w, sh.weight, sh.node, streamNodesLocked(st, sh))
-			if err != nil {
+			if f.admitLocked(st, []*shard{sh}, sh.node, true) != nil {
 				continue // best effort: every node busy now; the next tick retries
 			}
-			sh.specNode, sh.specJob = n2, job2
-			sh.attempts++
 			f.specRel++
-			n2.tel.Incident("speculative_release", sh.rng.Start, -1,
+			sh.specNode.tel.Incident("speculative_release", sh.rng.Start, -1,
 				fmt.Sprintf("%s shard %d straggling (%.0f%% vs front-runner %.0f%%): speculative copy on %s as %s",
-					st.id, sh.idx, 100*sh.progressLocked(), 100*front, n2.label, job2.ID()))
+					st.id, sh.idx, 100*sh.progressLocked(), 100*front, sh.specNode.label, sh.specJob.ID()))
 			f.metric("feves_fleet_speculative_releases_total",
 				"Straggling shards speculatively re-leased before heartbeat declaration.").Inc()
-			go f.watchShard(st, sh, n2, job2)
 		}
 	}
 }
@@ -414,7 +451,7 @@ func (f *Fleet) completeStreamLocked(st *Stream) {
 	for i, sh := range st.shards {
 		bits[i] = sh.bits
 	}
-	out, err := assembleShards(st.cfg, bits)
+	out, err := assembleShards(st.spec.CodecConfig(), bits)
 	if err != nil {
 		f.finishStreamLocked(st, serve.StatusFailed, err.Error())
 		return
@@ -442,7 +479,6 @@ func (f *Fleet) finishStreamLocked(st *Stream, status serve.Status, errMsg strin
 		}
 	}
 	close(st.done)
-	f.inflight.Done()
 	f.metric("feves_fleet_streams_finished_total", "Streams finished by terminal status.",
 		"status", string(status)).Inc()
 }
@@ -509,7 +545,7 @@ func (st *Stream) Status() StreamStatus {
 	doc := StreamStatus{
 		ID: st.id, Name: st.spec.Name, Mode: st.spec.Mode,
 		Status: st.status, Error: st.errMsg,
-		Frames:    st.spec.frameCount(),
+		Frames:    st.spec.FrameCount(),
 		Submitted: st.submitted,
 	}
 	for _, sh := range st.shards {

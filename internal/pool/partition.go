@@ -83,15 +83,17 @@ func partitionLP(ds []demand, rates [][]float64, nd int) [][]int {
 	zv := ns * nd
 	prob := lp.New(ns*nd + 1)
 	prob.Coef(zv, -1) // maximize z
+	// Add copies its argument, so one row buffer serves every constraint.
+	a := make([]float64, ns*nd+1)
 	for d := 0; d < nd; d++ {
-		a := make([]float64, ns*nd+1)
+		clear(a)
 		for s := 0; s < ns; s++ {
 			a[xv(s, d)] = 1
 		}
 		prob.Add(a, lp.LE, 1)
 	}
 	for s := 0; s < ns; s++ {
-		a := make([]float64, ns*nd+1)
+		clear(a)
 		for d := 0; d < nd; d++ {
 			a[xv(s, d)] = rates[s][d]
 		}

@@ -360,14 +360,17 @@ func TestHTTPSubmitBodyBounded(t *testing.T) {
 // size arithmetic: 2^32 × 2^32 wraps the I420 frame size to 0 (which used
 // to panic the YUV length check with a divide by zero), 2^30 × 2^30 used to
 // be admitted as a simulation, the next two sit just past
-// codec.MaxDimension on one axis each, and the last asks for 2^40 frames —
-// admitted until MaxFrames, it would have held a session slot for years.
+// codec.MaxDimension on one axis each, the fifth asks for 2^40 frames —
+// admitted until MaxFrames, it would have held a session slot for years —
+// and the last numbers its frames from 2^63-8, where the fleet's shard
+// numbering overflowed.
 var hostileDimensions = []struct{ body, field string }{
 	{`{"mode":"encode","width":4294967296,"height":4294967296,"yuv":"AQ=="}`, "width"},
 	{`{"mode":"simulate","width":1073741824,"height":1073741824,"frames":1}`, "width"},
 	{`{"mode":"simulate","width":16400,"height":16,"frames":1}`, "width"},
 	{`{"mode":"encode","width":16,"height":16400,"yuv":"AQ=="}`, "height"},
 	{`{"mode":"simulate","width":1920,"height":1088,"frames":1099511627776}`, "frames"},
+	{`{"mode":"simulate","width":64,"height":64,"frames":16,"intra_period":8,"frame_base":9223372036854775800}`, "frame base"},
 }
 
 // TestHTTPRejectsHostileDimensions posts them to POST /jobs: each is a 400

@@ -67,7 +67,9 @@ type JobSpec struct {
 // MaxFrames bounds the frames of one job or stream — ten hours of 30 fps
 // video. A simulate spec costs nothing to write, so without a ceiling
 // "frames": 1<<40 would hold a session slot for years and grow the job's
-// result list without end.
+// result list without end. It bounds a job's global frame numbers too
+// (FrameBase plus its frames), so a shard cut from a valid job is valid and
+// no frame number overflows.
 const MaxFrames = 1 << 20
 
 func (sp JobSpec) withDefaults() JobSpec {
@@ -119,6 +121,8 @@ func (sp JobSpec) validate() error {
 	}
 	if n := sp.FrameCount(); n > MaxFrames {
 		return fmt.Errorf("serve: frames %d exceeds %d", n, MaxFrames)
+	} else if sp.FrameBase > MaxFrames-n {
+		return fmt.Errorf("serve: frame base %d plus %d frames runs past frame %d", sp.FrameBase, n, MaxFrames)
 	}
 	return nil
 }

@@ -294,13 +294,13 @@ func (s *Server) run(job *Job, lease *pool.Lease) {
 	active := s.gauge("feves_serve_sessions_active", "Sessions currently holding a device lease.")
 	active.Add(1)
 	defer func() {
-		lease.Release()
 		<-s.slots
 		active.Add(-1)
 		s.inflight.Done()
 	}()
 
 	st, errMsg, stream := s.runSession(job, lease)
+	lease.Release() // a job is terminal only once its devices are back in the pool
 	job.finish(st, errMsg, stream)
 	s.metric("feves_serve_jobs_finished_total", "Jobs finished by terminal status.",
 		"status", string(st)).Inc()
