@@ -112,9 +112,9 @@ func lockstepAggregate(k int) float64 {
 
 // FleetScaling measures V7's first half: aggregate simulated throughput
 // of a fixed six-session 1080p workload as the fleet grows from one node
-// to four. The fleet coordinator's third-level LP places the sessions;
+// to four. The fleet coordinator's routing LP places the sessions;
 // each node's pool then partitions its devices among the sessions it
-// received (second-level LP), measured with V2's lock-step protocol so
+// received (greedy partitioner), measured with V2's lock-step protocol so
 // every node runs fully loaded.
 func FleetScaling() Table {
 	t := Table{

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -167,7 +168,7 @@ func ParseFaults(spec string, pl *Platform) (*FaultPlan, error) {
 				return nil, fmt.Errorf("device: fault clause %q: bad seed: %v", clause, err)
 			}
 			rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
-			if err != nil || rate < 0 || rate > 1 {
+			if err != nil || !(rate >= 0 && rate <= 1) { // NaN fails both
 				return nil, fmt.Errorf("device: fault clause %q: rate must be in [0,1]", clause)
 			}
 			plan.ChaosSeed, plan.ChaosRate = seed, rate
@@ -211,8 +212,8 @@ func ParseFaults(spec string, pl *Platform) (*FaultPlan, error) {
 			}
 			when = frameStr
 			fac, err := strconv.ParseFloat(strings.TrimSpace(facStr), 64)
-			if err != nil || fac <= 1 {
-				return nil, fmt.Errorf("device: fault clause %q: slow factor must be > 1", clause)
+			if err != nil || !(fac > 1) || math.IsInf(fac, 1) {
+				return nil, fmt.Errorf("device: fault clause %q: slow factor must be finite and > 1", clause)
 			}
 			flt.Factor = fac
 		}

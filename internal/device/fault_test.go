@@ -59,17 +59,17 @@ func TestParseFaultsGrammar(t *testing.T) {
 func TestParseFaultsErrors(t *testing.T) {
 	pl := SysNF()
 	bad := []string{
-		"",                // no clauses
-		"die:0",           // missing @frame
-		"die:0@40+3",      // die with duration
-		"die:9@4",         // index out of range
-		"die:nosuch@4",    // unknown name
-		"slow:0@4",        // missing factor
-		"slow:0@4x0.5",    // factor <= 1
-		"stall:0@0",       // frame < 1
-		"stall:0@5+0",     // non-positive duration
-		"chaos:1x1.5",     // rate out of range
-		"frob:0@4",        // unknown kind
+		"",             // no clauses
+		"die:0",        // missing @frame
+		"die:0@40+3",   // die with duration
+		"die:9@4",      // index out of range
+		"die:nosuch@4", // unknown name
+		"slow:0@4",     // missing factor
+		"slow:0@4x0.5", // factor <= 1
+		"stall:0@0",    // frame < 1
+		"stall:0@5+0",  // non-positive duration
+		"chaos:1x1.5",  // rate out of range
+		"frob:0@4",     // unknown kind
 	}
 	for _, spec := range bad {
 		if _, err := ParseFaults(spec, pl); err == nil {
@@ -83,6 +83,64 @@ func TestParseFaultsErrors(t *testing.T) {
 	if _, err := ParseFaults("die:3@4", nil); err != nil {
 		t.Errorf("index without platform: %v", err)
 	}
+}
+
+// TestParseFaultsRejectsNonFinite: strconv.ParseFloat reads "Inf" and
+// "NaN", and NaN slips past ordered comparisons. An infinite slowdown made
+// every later simulated frame report +Inf seconds; a NaN factor or chaos
+// rate was accepted silently. Each must fail, naming its clause.
+func TestParseFaultsRejectsNonFinite(t *testing.T) {
+	pl := SysHK()
+	for _, c := range []struct{ spec, clause string }{
+		{"die:1@9; slow:0@2xInf", "slow:0@2xInf"},
+		{"slow:0@2xNaN", "slow:0@2xNaN"},
+		{"chaos:1xNaN", "chaos:1xNaN"},
+	} {
+		_, err := ParseFaults(c.spec, pl)
+		if err == nil {
+			t.Errorf("ParseFaults(%q) = nil error, want failure", c.spec)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.clause) {
+			t.Errorf("ParseFaults(%q) error %q does not name clause %q", c.spec, err, c.clause)
+		}
+	}
+}
+
+// FuzzParseFaults: whatever the spec, ParseFaults returns an error or a
+// plan the fault machinery can run — every fault on a device of the
+// platform from frame 1 on, every slowdown a finite factor above 1, and a
+// chaos rate that is a probability. It never panics.
+func FuzzParseFaults(f *testing.F) {
+	for _, seed := range []string{
+		"die:1@40; slow:0@10x3+5",
+		"die:0@40", "stall:2@10+5", "slow:1@7x2.5",
+		"slow:GPU_F@3x4+2; die:4@9", "chaos:99x0.25",
+		"slow:0@2xInf", "slow:0@2xNaN", "chaos:1xNaN",
+	} {
+		f.Add(seed)
+	}
+	pl := SysNF()
+	f.Fuzz(func(t *testing.T, spec string) {
+		fp, err := ParseFaults(spec, pl)
+		if err != nil {
+			return
+		}
+		for _, flt := range fp.Faults {
+			if flt.Frame < 1 || flt.Frames < 0 {
+				t.Fatalf("%q: fault %+v starts before frame 1 or lasts a negative count", spec, flt)
+			}
+			if flt.Device < 0 || flt.Device >= pl.NumDevices() {
+				t.Fatalf("%q: fault %+v outside the platform's %d devices", spec, flt, pl.NumDevices())
+			}
+			if flt.Kind == FaultSlow && !(flt.Factor > 1 && !math.IsInf(flt.Factor, 1)) {
+				t.Fatalf("%q: slow factor %v, want finite > 1", spec, flt.Factor)
+			}
+		}
+		if !(fp.ChaosRate >= 0 && fp.ChaosRate <= 1) {
+			t.Fatalf("%q: chaos rate %v outside [0,1]", spec, fp.ChaosRate)
+		}
+	})
 }
 
 func TestFaultPlanFactorWindows(t *testing.T) {

@@ -30,8 +30,7 @@ type nodeCap struct {
 }
 
 // RouterStats counts the router's decisions and carries the warm-start
-// statistics of its retained LP solver — the third-level analogue of the
-// pool partitioner's, surfaced in /debug/state.
+// statistics of its retained LP solver, surfaced in /debug/state.
 type RouterStats struct {
 	Routes   int `json:"routes"`    // route calls answered
 	Units    int `json:"units"`     // units placed in total
@@ -44,9 +43,9 @@ type RouterStats struct {
 	Solver lp.Stats `json:"solver"`
 }
 
-// router places route units onto nodes by solving the third fractional
-// min-max LP of the hierarchy (per-frame Algorithm 2 → pool partitioner →
-// fleet router):
+// router places route units onto nodes by solving a fractional min-max LP,
+// the top of the hierarchy (per-frame Algorithm 2 LP → greedy pool
+// partitioner → fleet router):
 //
 //	minimize  z
 //	s.t.      Σ_n x[u,n] = 1                          (each unit placed once)

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"feves/internal/device"
-	"feves/internal/lp"
 )
 
 // demand is one session's standing workload, the weight the partitioner
@@ -30,12 +29,9 @@ func rowRate(p device.Profile, w device.Workload) float64 {
 }
 
 // partitionDevices splits the platform's up devices (the base indices in
-// up, ascending) into disjoint non-empty subsets, one per demand,
-// minimizing the worst predicted per-session τtot ≈ rows / Σ leased
-// row-rates. It first solves the fractional relaxation as a linear
-// program — the second LP layer above the per-frame Algorithm 2 — and
-// rounds device-wise; if the LP fails or the rounding starves a session,
-// a deterministic LPT-style greedy takes over. Requires
+// up, ascending) into disjoint non-empty subsets, one per demand, with the
+// greedy partitioner: an LPT greedy that balances the predicted
+// per-session τtot ≈ rows / Σ leased row-rates. Requires
 // 1 ≤ len(ds) ≤ len(up). The returned sets hold base platform indices.
 func partitionDevices(base *device.Platform, ds []demand, up []int) (sets [][]int, taus []float64) {
 	nd := len(up)
@@ -46,10 +42,7 @@ func partitionDevices(base *device.Platform, ds []demand, up []int) (sets [][]in
 			rates[s][j] = rowRate(base.Dev(d), dm.w)
 		}
 	}
-	sets = partitionLP(ds, rates, nd)
-	if sets == nil {
-		sets = partitionGreedy(ds, rates, nd)
-	}
+	sets = partitionGreedy(ds, rates, nd)
 	taus = make([]float64, len(ds))
 	for s, set := range sets {
 		var rate float64
@@ -67,65 +60,10 @@ func partitionDevices(base *device.Platform, ds []demand, up []int) (sets [][]in
 	return sets, taus
 }
 
-// partitionLP solves the fractional partitioning LP
-//
-//	maximize  z
-//	s.t.      Σ_s x[s,d] ≤ 1                     (each device leased once)
-//	          Σ_d r[s,d]·x[s,d] ≥ z·rows_s       (session speed floor)
-//	          x ≥ 0
-//
-// and rounds each device to the session with the largest fractional
-// share. Returns nil when the LP fails or the rounding leaves a session
-// with no device (the greedy fallback then decides).
-func partitionLP(ds []demand, rates [][]float64, nd int) [][]int {
-	ns := len(ds)
-	xv := func(s, d int) int { return s*nd + d }
-	zv := ns * nd
-	prob := lp.New(ns*nd + 1)
-	prob.Coef(zv, -1) // maximize z
-	// Add copies its argument, so one row buffer serves every constraint.
-	a := make([]float64, ns*nd+1)
-	for d := 0; d < nd; d++ {
-		clear(a)
-		for s := 0; s < ns; s++ {
-			a[xv(s, d)] = 1
-		}
-		prob.Add(a, lp.LE, 1)
-	}
-	for s := 0; s < ns; s++ {
-		clear(a)
-		for d := 0; d < nd; d++ {
-			a[xv(s, d)] = rates[s][d]
-		}
-		a[zv] = -float64(ds[s].w.Rows())
-		prob.Add(a, lp.GE, 0)
-	}
-	x, _, err := prob.Solve()
-	if err != nil {
-		return nil
-	}
-	sets := make([][]int, ns)
-	for d := 0; d < nd; d++ {
-		best, bestShare := 0, math.Inf(-1)
-		for s := 0; s < ns; s++ {
-			if share := x[xv(s, d)]; share > bestShare+1e-12 {
-				best, bestShare = s, share
-			}
-		}
-		sets[best] = append(sets[best], d)
-	}
-	for _, set := range sets {
-		if len(set) == 0 {
-			return nil
-		}
-	}
-	return sets
-}
-
-// partitionGreedy is the deterministic fallback: devices in descending
-// mean-rate order, each assigned to the session whose predicted τtot is
-// currently worst (sessions with no device yet are infinitely slow, so
-// every session gets one before any gets two).
+// partitionGreedy assigns devices in descending mean-rate order, each to
+// the session whose predicted τtot is currently worst (sessions with no
+// device yet are infinitely slow, so every session gets one before any
+// gets two).
 func partitionGreedy(ds []demand, rates [][]float64, nd int) [][]int {
 	ns := len(ds)
 	order := make([]int, nd)

@@ -1,9 +1,9 @@
 // Package pool is the multi-tenant device-pool manager of the FEVES
 // serving subsystem: it leases disjoint, non-empty device subsets of one
 // physical platform to concurrent encode sessions and re-partitions the
-// pool on every session arrival and departure, equalizing the predicted
-// per-session τtot with a second LP layer above the per-frame Algorithm 2
-// (the fractional min-max partitioning LP of partition.go).
+// pool on every session arrival and departure, balancing the predicted
+// per-session τtot with the greedy partitioner of partition.go (the
+// per-frame Algorithm 2 LP inside each session does the fine balancing).
 //
 // A session holds a Lease. The lease's Snapshot returns a standalone
 // device.Platform carved out of the pool (device.Subplatform), plus an
@@ -332,8 +332,8 @@ func (l *Lease) Snapshot() (*device.Platform, uint64) {
 }
 
 // PredictedTau returns the pool partitioner's τtot estimate for this
-// session under the current lease — the quantity the second LP layer
-// equalizes across tenants.
+// session under the current lease — the quantity the greedy partitioner
+// balances across tenants.
 func (l *Lease) PredictedTau() float64 {
 	l.pool.mu.Lock()
 	defer l.pool.mu.Unlock()

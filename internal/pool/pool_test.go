@@ -90,7 +90,7 @@ func TestArrivalDepartureKeepsLeasesDisjoint(t *testing.T) {
 
 // TestEqualizesPredictedTau: two identical sessions on a platform with
 // two identical GPUs and four identical cores should get predicted τtot
-// within a few percent of each other — the second LP layer's whole point.
+// within a few percent of each other — the greedy partitioner's whole point.
 func TestEqualizesPredictedTau(t *testing.T) {
 	p, err := New(device.SysNFF())
 	if err != nil {

@@ -55,8 +55,6 @@ type Balancer interface {
 // program over the distribution vectors minimizing τtot, iterated to a
 // fixed point with the MS_BOUNDS/LS_BOUNDS data-reuse terms.
 type LPBalancer struct {
-	// MaxIters bounds the Δ fixed-point iterations (default 4).
-	MaxIters int
 	// NoReuse disables the MS_BOUNDS/LS_BOUNDS data-reuse optimization of
 	// the Data Access Management: every accelerator fetches its complete
 	// SME inputs (Δ = s_i) instead of only the rows it is missing. This is
@@ -91,10 +89,9 @@ type LPBalancer struct {
 	// restart from zero every frame and may cycle instead of converging,
 	// so the LP of iteration i resembles iteration i of the *previous
 	// frame on the same chain* far more than the solve immediately before
-	// it. Slot layout is chain*iters + it, so every solver warm-starts
-	// from its own counterpart.
+	// it. Slot layout is chain*deltaIters + it, so every solver
+	// warm-starts from its own counterpart.
 	solvers        []lp.Solver
-	solverIters    int
 	prob           *lp.Problem
 	rowBuf         []float64
 	deltaM, deltaL []int
@@ -105,6 +102,9 @@ type LPBalancer struct {
 	gen            [2]distBufs
 	genIdx         int
 }
+
+// deltaIters bounds the Δ fixed-point iterations of one Distribute call.
+const deltaIters = 4
 
 // maxChains is the number of reference chains the balancer keeps
 // warm-start and hysteresis slots for (Config.Chains is capped at 2).
@@ -190,12 +190,8 @@ func (b *LPBalancer) Distribute(pm *PerfModel, topo Topology, w device.Workload,
 		}
 		prevSigmaR = b.zeroSR
 	}
-	iters := b.MaxIters
-	if iters <= 0 {
-		iters = 4
-	}
-	if b.solverIters != iters {
-		b.solvers = make([]lp.Solver, maxChains*iters)
+	if b.solvers == nil {
+		b.solvers = make([]lp.Solver, maxChains*deltaIters)
 		for i := range b.solvers {
 			// The balancer's LPs are riddled with alternative optima
 			// (identical devices make whole variable blocks symmetric),
@@ -205,7 +201,6 @@ func (b *LPBalancer) Distribute(pm *PerfModel, topo Topology, w device.Workload,
 			// per-frame speed comes from warm-starting, not from pricing.
 			b.solvers[i].Pricing = lp.PricingBland
 		}
-		b.solverIters = iters
 	}
 	rstar := PlaceRStar(pm, topo, rows)
 
@@ -222,8 +217,8 @@ func (b *LPBalancer) Distribute(pm *PerfModel, topo Topology, w device.Workload,
 	}
 
 	var d Distribution
-	for it := 0; it < iters; it++ {
-		x, err := b.solveLP(b.chain*iters+it, pm, topo, w, rstar, deltaM, deltaL, prevSigmaR)
+	for it := 0; it < deltaIters; it++ {
+		x, err := b.solveLP(b.chain*deltaIters+it, pm, topo, w, rstar, deltaM, deltaL, prevSigmaR)
 		if err != nil {
 			return Distribution{}, err
 		}
@@ -306,7 +301,7 @@ func (b *LPBalancer) Distribute(pm *PerfModel, topo Topology, w device.Workload,
 
 // solveLP builds and solves one instance of Algorithm 2's linear program
 // with the Δ terms held constant. The problem is rebuilt into retained
-// storage and handed to the retained solver in `slot` (chain*iters +
+// storage and handed to the retained solver in `slot` (chain*deltaIters +
 // iteration), which warm-starts from the same slot's optimal basis of the
 // previous frame on that chain whenever the problem shape is unchanged
 // (health exclusions change the constraint senses, forcing — correctly —

@@ -12,7 +12,7 @@ import (
 // Pool shares one platform among several concurrent encode or simulation
 // sessions. Every session leases a disjoint, non-empty subset of the
 // devices; on each arrival or departure the pool re-partitions the
-// platform with a second-level LP that equalizes the sessions' predicted
+// platform with a greedy partitioner that balances the sessions' predicted
 // frame times, and running sessions pick up their new lease at the next
 // frame boundary. Functional encoding stays bit-exact through every
 // re-partition — output never depends on which devices a session held.
